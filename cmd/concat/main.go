@@ -26,14 +26,17 @@
 //
 // The suite-running subcommands (run, selftest, soak, mutate) share the
 // sandbox flags: -isolate executes every case in a crash-contained child
-// process (the hidden `concat run-case` case server), -pool keeps the same
-// containment but dispatches batches of cases to a pool of warm, long-lived
-// workers (-pool-size N workers, -batch N cases per round-trip) so campaigns
-// pay the process-spawn cost once per worker instead of once per case,
-// -budget N bounds the cooperative steps a case may take, -max-transcript N
-// caps its transcript, and -timeout D bounds its wall-clock time. They also share the
-// observability flags: -trace FILE streams NDJSON spans (suite → case →
-// call / child-spawn) and -metrics FILE writes an aggregated snapshot of
+// process of its own (concat re-executes itself as a case server), -pool
+// keeps the same containment but dispatches batches of cases to a pool of
+// warm, long-lived workers (-pool-size N workers, -batch N cases per
+// round-trip) so campaigns pay the process-spawn cost once per worker
+// instead of once per case, -budget N bounds the cooperative steps a case
+// may take, -max-transcript N caps its transcript, and -timeout D bounds
+// its wall-clock time. Both isolated modes speak one batch protocol;
+// -isolate is the pool with one case per batch and a worker recycled after
+// every case. The same subcommands share the observability flags: -trace
+// FILE streams NDJSON spans (suite → case → call / child-spawn) and
+// -metrics FILE writes an aggregated snapshot of
 // counters and duration histograms at exit. Both are side channels —
 // reports and tables are byte-identical with or without them.
 //
@@ -83,7 +86,6 @@ import (
 	"concat/internal/driver"
 	"concat/internal/impact"
 	"concat/internal/loadgen"
-	"concat/internal/mutation"
 	"concat/internal/obs"
 	"concat/internal/sandbox"
 	"concat/internal/serve"
@@ -103,7 +105,7 @@ var errCasesFailed = errors.New("test cases failed")
 
 func main() {
 	// When the executor re-executes this binary as a case server (the
-	// ServerEnv sentinel is set), serve the one case and exit before any
+	// ServerEnv sentinel is set), serve case batches and exit before any
 	// argument handling.
 	core.MaybeServeCase()
 	if err := run(os.Args[1:], os.Stdout); err != nil {
@@ -174,10 +176,6 @@ func run(args []string, w io.Writer) error {
 		return cmdLoadgen(rest, w)
 	case "work":
 		return cmdWork(rest, w)
-	case "run-case":
-		// Hidden: the subprocess-isolation case server (see -isolate). Reads
-		// one case request on stdin, writes the result on stdout.
-		return core.ServeOneCase(os.Stdin, w)
 	case "help", "-h", "--help":
 		printUsage(w)
 		return nil
@@ -1253,7 +1251,7 @@ func cmdImpact(args []string, w io.Writer) error {
 		Exec:          session.apply(sf.apply(testexec.Options{})),
 		Store:         st,
 		Parallelism:   *parallel,
-		MutantMethods: mutantMethods(t),
+		MutantMethods: t.MutantMethods(),
 	}
 	res, err := r.Run(oldSpec, newSpec)
 	if cerr := session.close(); err == nil {
@@ -1306,26 +1304,6 @@ func cmdImpact(args []string, w io.Writer) error {
 		return fmt.Errorf("impact re-run: %d %w", len(res.Final.Failures()), errCasesFailed)
 	}
 	return nil
-}
-
-// mutantMethods enumerates the target's mutants (over its experiment
-// methods) and returns one method name per mutant, for the impact report's
-// mutant accounting. Components without instrumentation yield nil.
-func mutantMethods(t core.Target) []string {
-	if len(t.Sites) == 0 || len(t.ExperimentMethods) == 0 {
-		return nil
-	}
-	eng := mutation.NewEngine()
-	for _, s := range t.Sites {
-		if err := eng.RegisterSite(s); err != nil {
-			return nil
-		}
-	}
-	var out []string
-	for _, m := range eng.Enumerate(nil, t.ExperimentMethods) {
-		out = append(out, m.Method)
-	}
-	return out
 }
 
 // cmdSpec exports a t-spec — a built-in component's embedded one, or a

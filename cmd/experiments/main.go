@@ -45,8 +45,8 @@ import (
 )
 
 func main() {
-	// Serve a single isolated case and exit when spawned as a case server
-	// (the -isolate campaigns re-execute this binary).
+	// Serve case batches and exit when spawned as a case server (the
+	// -isolate and -pool campaigns re-execute this binary).
 	core.MaybeServeCase()
 	var (
 		table1    = flag.Bool("table1", false, "print Table 1 (the interface mutation operators)")

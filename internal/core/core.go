@@ -92,6 +92,39 @@ type Target struct {
 	ExperimentMethods []string
 }
 
+// Engine builds a fresh mutation engine with the target's sites
+// registered; no mutant is armed.
+func (t Target) Engine() (*mutation.Engine, error) {
+	if len(t.Sites) == 0 {
+		return nil, fmt.Errorf("core: component %q has no mutation instrumentation", t.Name)
+	}
+	eng := mutation.NewEngine()
+	for _, s := range t.Sites {
+		if err := eng.RegisterSite(s); err != nil {
+			return nil, fmt.Errorf("core: %w", err)
+		}
+	}
+	return eng, nil
+}
+
+// MutantMethods enumerates the target's mutants over its experiment
+// methods, one method name per mutant, for the impact report's mutant
+// accounting. Components without instrumentation yield nil.
+func (t Target) MutantMethods() []string {
+	if len(t.ExperimentMethods) == 0 {
+		return nil
+	}
+	eng, err := t.Engine()
+	if err != nil {
+		return nil
+	}
+	var out []string
+	for _, m := range eng.Enumerate(nil, t.ExperimentMethods) {
+		out = append(out, m.Method)
+	}
+	return out
+}
+
 // Targets returns the built-in study subjects, keyed by component name.
 func Targets() map[string]Target {
 	return map[string]Target{
@@ -225,21 +258,16 @@ func MutationRun(targetName string, suite *driver.Suite, methods []string, progr
 
 // MutationRunOpts is MutationRun with explicit campaign options — notably
 // testexec.IsolateSubprocess, under which every case (reference and mutant)
-// executes in a `concat run-case` child so genuinely fatal mutants are
-// recorded as crash kills instead of killing the campaign.
+// executes in a child case server so genuinely fatal mutants are recorded
+// as crash kills instead of killing the campaign.
 func MutationRunOpts(targetName string, suite *driver.Suite, methods []string, progress io.Writer, o MutationOptions) (*analysis.Result, error) {
 	t, err := LookupTarget(targetName)
 	if err != nil {
 		return nil, err
 	}
-	if len(t.Sites) == 0 {
-		return nil, fmt.Errorf("core: component %q has no mutation instrumentation", targetName)
-	}
-	eng := mutation.NewEngine()
-	for _, s := range t.Sites {
-		if err := eng.RegisterSite(s); err != nil {
-			return nil, fmt.Errorf("core: %w", err)
-		}
+	eng, err := t.Engine()
+	if err != nil {
+		return nil, err
 	}
 	comp := t.New(eng)
 	if len(methods) == 0 {

@@ -1,18 +1,16 @@
 // Subprocess-isolation support for the built-in targets: the resolver a
-// `concat run-case` case server uses to rebuild the component under test —
-// optionally with a mutant re-armed on a fresh engine — inside the child
-// process, and the main() hook that turns any binary linking core into its
-// own crash-containment sandbox.
+// case server uses to rebuild the component under test — optionally with a
+// mutant re-armed on a fresh engine — inside the child process, and the
+// main() hook that turns any binary linking core into its own
+// crash-containment sandbox.
 package core
 
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"os"
 
 	"concat/internal/analysis"
-	"concat/internal/mutation"
 	"concat/internal/testexec"
 )
 
@@ -37,14 +35,9 @@ func CaseResolver() testexec.Resolver {
 			comp := t.New(nil)
 			return testexec.Resolved{Factory: comp.Factory, Providers: comp.Providers}, nil
 		}
-		if len(t.Sites) == 0 {
-			return testexec.Resolved{}, fmt.Errorf("core: component %q has no mutation instrumentation", componentName)
-		}
-		eng := mutation.NewEngine()
-		for _, s := range t.Sites {
-			if err := eng.RegisterSite(s); err != nil {
-				return testexec.Resolved{}, fmt.Errorf("core: %w", err)
-			}
+		eng, err := t.Engine()
+		if err != nil {
+			return testexec.Resolved{}, err
 		}
 		if err := eng.Activate(*ctx.Mutant); err != nil {
 			return testexec.Resolved{}, fmt.Errorf("core: arming mutant in case server: %w", err)
@@ -64,18 +57,11 @@ func CaseResolver() testexec.Resolver {
 	}
 }
 
-// ServeOneCase serves exactly one isolated case over the given streams —
-// the body of the hidden `concat run-case` subcommand.
-func ServeOneCase(r io.Reader, w io.Writer) error {
-	return testexec.ServeCase(r, w, CaseResolver())
-}
-
 // MaybeServeCase checks the executor's ServerEnv sentinel and, when set,
-// turns the current process into a case server on stdin/stdout and exits:
-// the warm-pool batch server when the sentinel selects it, the one-shot
-// single-case server otherwise. Call it first thing in main() of any
-// binary that should be usable as its own sandbox; it returns (doing
-// nothing) in a normal invocation.
+// turns the current process into a batch case server on stdin/stdout and
+// exits. Call it first thing in main() of any binary that should be usable
+// as its own sandbox, before argument parsing; it returns (doing nothing)
+// in a normal invocation.
 func MaybeServeCase() {
 	served, err := testexec.ServeFromEnv(os.Stdin, os.Stdout, CaseResolver())
 	if !served {

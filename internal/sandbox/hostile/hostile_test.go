@@ -18,9 +18,8 @@ import (
 )
 
 // TestMain doubles this test binary as a case server: when the executor
-// spawns it with ServerEnv set, it serves isolated cases (one-shot or the
-// warm-pool batch loop, per the sentinel's value) and exits instead of
-// running the test suite. This is the standard pattern for exercising
+// spawns it with ServerEnv set, it serves isolated case batches and exits
+// instead of running the test suite. This is the standard pattern for exercising
 // subprocess isolation from a test.
 func TestMain(m *testing.M) {
 	if served, err := testexec.ServeFromEnv(os.Stdin, os.Stdout, hostile.CaseResolver()); served {

@@ -22,7 +22,7 @@ import (
 )
 
 // pooledOpts configures a run whose cases execute in warm pool workers:
-// this test binary re-executed with ServerEnv's batch value (see TestMain).
+// this test binary re-executed with ServerEnv set (see TestMain).
 func pooledOpts(t *testing.T, ctx hostile.Context) testexec.Options {
 	t.Helper()
 	exe, err := os.Executable()
@@ -103,6 +103,29 @@ func TestPoolMidBatchCrashRedispatchesExactlyOnce(t *testing.T) {
 			t.Errorf("case %s transcript diverged from the fresh-world reference:\n%q\nvs\n%q",
 				rep.Results[i].CaseID, rep.Results[i].Transcript, benign.Results[i].Transcript)
 		}
+	}
+}
+
+// TestIsolationNeverReusesWorker pins IsolateSubprocess's fresh-process
+// guarantee on the pool dispatcher: ExitMidBatch kills a worker on the
+// second case it serves, so every case passes only if each one ran in a
+// process of its own.
+func TestIsolationNeverReusesWorker(t *testing.T) {
+	opts := isolatedOpts(t, hostile.Context{Behavior: hostile.ExitMidBatch})
+	p := sharedPool(t, opts, 1)
+	opts.WorkerPool = p
+
+	rep, err := testexec.Run(suiteFor(hostile.ExitMidBatch, 4), hostile.NewFactory(hostile.ExitMidBatch), opts)
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	for _, res := range rep.Results {
+		if res.Outcome != testexec.OutcomePass {
+			t.Errorf("case %s: outcome %s (detail %q), want pass in a fresh process", res.CaseID, res.Outcome, res.Detail)
+		}
+	}
+	if st := p.Stats(); st.Spawned != 4 || st.Discarded != 4 {
+		t.Errorf("pool stats %+v, want 4 spawns / 4 discards — one process per case", st)
 	}
 }
 

@@ -14,9 +14,9 @@
 //     of them.
 //   - Retry: deterministic retry with exponential backoff for harness-level
 //     transient errors (subprocess spawn failure, fork contention).
-//   - RunProcess: a resource-bounded subprocess runner with deterministic
-//     classification of abnormal exits, the substrate of the executor's
-//     crash-containment isolation mode.
+//   - SummarizeFatal: deterministic classification of a case server's
+//     abnormal exit, used by the worker pool (sandbox/pool) that carries
+//     the executor's crash-containment isolation modes.
 //
 // Everything here is deliberately free of policy: the executor decides what
 // a budget covers and how an exit status maps onto a case outcome; sandbox

@@ -146,52 +146,6 @@ func TestRetryExhaustsAttempts(t *testing.T) {
 	}
 }
 
-func TestRunProcessExitCodes(t *testing.T) {
-	res, err := RunProcess(ProcessSpec{Argv: []string{"/bin/sh", "-c", "exit 66"}})
-	if err != nil {
-		t.Fatalf("spawn: %v", err)
-	}
-	if res.ExitCode != 66 || res.TimedOut {
-		t.Fatalf("exit=%d timedOut=%v, want 66/false", res.ExitCode, res.TimedOut)
-	}
-	if res.FatalSummary == "" {
-		t.Fatal("abnormal exit should carry a summary")
-	}
-}
-
-func TestRunProcessTimeout(t *testing.T) {
-	res, err := RunProcess(ProcessSpec{
-		Argv:    []string{"/bin/sh", "-c", "sleep 30"},
-		Timeout: 100 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatalf("spawn: %v", err)
-	}
-	if !res.TimedOut {
-		t.Fatalf("expected timeout kill, got exit=%d", res.ExitCode)
-	}
-}
-
-func TestRunProcessOutputCap(t *testing.T) {
-	res, err := RunProcess(ProcessSpec{
-		Argv:           []string{"/bin/sh", "-c", "yes x | head -c 100000"},
-		MaxOutputBytes: 1024,
-	})
-	if err != nil {
-		t.Fatalf("spawn: %v", err)
-	}
-	if len(res.Stdout) != 1024 {
-		t.Fatalf("stdout length %d, want capped at 1024", len(res.Stdout))
-	}
-}
-
-func TestRunProcessSpawnFailure(t *testing.T) {
-	_, err := RunProcess(ProcessSpec{Argv: []string{"/nonexistent/binary"}})
-	if err == nil {
-		t.Fatal("spawn of a missing binary must fail")
-	}
-}
-
 func TestSummarizeFatal(t *testing.T) {
 	stderr := []byte("runtime: goroutine stack exceeds 67108864-byte limit\nfatal error: stack overflow\n\ngoroutine 1 [running]:\nmain.f(0xc000...)\n")
 	got := SummarizeFatal("exit status 2", stderr)

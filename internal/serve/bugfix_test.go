@@ -18,14 +18,14 @@ import (
 // spans yet) must receive the 200 and content type immediately instead of
 // hanging until the first span lands.
 func TestEventsHeadersFlushedBeforeFirstEvent(t *testing.T) {
-	s, ts := newTestServer(t, Config{})
 	started := make(chan struct{})
 	release := make(chan struct{})
-	s.campaign = func(j *Job) (*analysis.Result, []byte, error) {
+	campaign := func(j *Job) (*analysis.Result, []byte, error) {
 		close(started)
 		<-release
 		return nil, []byte("stub report\n"), nil
 	}
+	_, ts := newTestServer(t, Config{campaign: campaign})
 	st, code := submit(t, ts, Request{Component: "Account"})
 	if code != http.StatusAccepted {
 		t.Fatalf("submit: HTTP %d", code)

@@ -51,14 +51,14 @@ func TestRetryAfterComputedFromQueueDepth(t *testing.T) {
 	// One worker pinned in a stub campaign, three jobs queued, recent jobs
 	// averaging 2s: the 503 must carry Retry-After ceil(3*2s/1) = 6, not the
 	// old hard-coded 1.
-	s, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 3})
 	started := make(chan string, 8)
 	release := make(chan struct{})
-	s.campaign = func(j *Job) (*analysis.Result, []byte, error) {
+	campaign := func(j *Job) (*analysis.Result, []byte, error) {
 		started <- j.ID
 		<-release
 		return nil, []byte("stub report\n"), nil
 	}
+	s, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 3, campaign: campaign})
 	defer close(release)
 	for i := 0; i < 4; i++ {
 		s.recordDuration(2 * time.Second)
@@ -97,10 +97,10 @@ func TestWorkerPanicRetriesThenSucceeds(t *testing.T) {
 			panic(fmt.Sprintf("injected crash on attempt %d", attempt))
 		}
 	}}
-	s, ts := newTestServer(t, Config{Retry: fastRetry(3), Faults: faults})
-	s.campaign = func(j *Job) (*analysis.Result, []byte, error) {
+	campaign := func(j *Job) (*analysis.Result, []byte, error) {
 		return nil, []byte("stub report\n"), nil
 	}
+	s, ts := newTestServer(t, Config{Retry: fastRetry(3), Faults: faults, campaign: campaign})
 	st, code := submit(t, ts, Request{Component: "Account"})
 	if code != http.StatusAccepted {
 		t.Fatalf("submit: HTTP %d", code)
@@ -128,10 +128,10 @@ func TestPoisonJobQuarantined(t *testing.T) {
 	faults := &chaos.Faults{CampaignStart: func(jobID string, attempt int) {
 		panic("poison")
 	}}
-	s, ts := newTestServer(t, Config{Retry: fastRetry(2), Faults: faults})
-	s.campaign = func(j *Job) (*analysis.Result, []byte, error) {
+	campaign := func(j *Job) (*analysis.Result, []byte, error) {
 		return nil, []byte("unreachable\n"), nil
 	}
+	s, ts := newTestServer(t, Config{Retry: fastRetry(2), Faults: faults, campaign: campaign})
 	st, code := submit(t, ts, Request{Component: "Account"})
 	if code != http.StatusAccepted {
 		t.Fatalf("submit: HTTP %d", code)
@@ -166,14 +166,14 @@ func TestLeaseReclaimOfWedgedWorker(t *testing.T) {
 	// retried, and the wedged attempt's eventual result discarded.
 	var attempts atomic.Int64
 	wedged := make(chan struct{})
-	s, ts := newTestServer(t, Config{Workers: 1, Lease: 50 * time.Millisecond, Retry: fastRetry(3)})
-	s.campaign = func(j *Job) (*analysis.Result, []byte, error) {
+	campaign := func(j *Job) (*analysis.Result, []byte, error) {
 		if attempts.Add(1) == 1 {
 			<-wedged
 			return nil, []byte("stale result from the wedged attempt\n"), nil
 		}
 		return nil, []byte("fresh result\n"), nil
 	}
+	s, ts := newTestServer(t, Config{Workers: 1, Lease: 50 * time.Millisecond, Retry: fastRetry(3), campaign: campaign})
 	st, code := submit(t, ts, Request{Component: "Account"})
 	if code != http.StatusAccepted {
 		t.Fatalf("submit: HTTP %d", code)
@@ -201,14 +201,14 @@ func TestDrainRejectsThenCheckpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, ts := newTestServer(t, Config{Workers: 1, Journal: jn})
 	release := make(chan struct{})
 	started := make(chan string, 1)
-	s.campaign = func(j *Job) (*analysis.Result, []byte, error) {
+	campaign := func(j *Job) (*analysis.Result, []byte, error) {
 		started <- j.ID
 		<-release
 		return nil, []byte("stub report\n"), nil
 	}
+	s, ts := newTestServer(t, Config{Workers: 1, Journal: jn, campaign: campaign})
 	st, code := submit(t, ts, Request{Component: "Account"})
 	if code != http.StatusAccepted {
 		t.Fatalf("submit: HTTP %d", code)
@@ -260,13 +260,13 @@ func TestDrainDeadlineLeavesJobsJournaled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := New(Config{Workers: 1, Journal: jn})
-	t.Cleanup(s.Close)
 	started := make(chan string, 1)
-	s.campaign = func(j *Job) (*analysis.Result, []byte, error) {
+	campaign := func(j *Job) (*analysis.Result, []byte, error) {
 		started <- j.ID
 		select {} // wedged until the process "dies"
 	}
+	s := New(Config{Workers: 1, Journal: jn, campaign: campaign})
+	t.Cleanup(s.Close)
 	if _, err := s.Submit(Request{Component: "Account"}); err != nil {
 		t.Fatal(err)
 	}
@@ -300,12 +300,12 @@ func TestRestartReplaysPendingJobs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv1 := New(Config{Workers: 1, Journal: jn1})
 	started := make(chan string, 1)
-	srv1.campaign = func(j *Job) (*analysis.Result, []byte, error) {
+	campaign := func(j *Job) (*analysis.Result, []byte, error) {
 		started <- j.ID
 		select {} // the process dies mid-campaign
 	}
+	srv1 := New(Config{Workers: 1, Journal: jn1, campaign: campaign})
 	for seed := 1; seed <= 2; seed++ {
 		if _, err := srv1.Submit(Request{Component: "Account", Seed: int64(seed)}); err != nil {
 			t.Fatal(err)
@@ -318,11 +318,11 @@ func TestRestartReplaysPendingJobs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv2 := New(Config{Workers: 1, Journal: jn2})
-	t.Cleanup(srv2.Close)
-	srv2.campaign = func(j *Job) (*analysis.Result, []byte, error) {
+	replay := func(j *Job) (*analysis.Result, []byte, error) {
 		return nil, []byte("replayed " + j.ID + "\n"), nil
 	}
+	srv2 := New(Config{Workers: 1, Journal: jn2, campaign: replay})
+	t.Cleanup(srv2.Close)
 	if got := srv2.nReplayed.Load(); got != 2 {
 		t.Fatalf("replayed %d jobs, want 2", got)
 	}
@@ -359,10 +359,10 @@ func TestRestartRestoresTerminalJobs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv1 := New(Config{Workers: 1, Journal: jn1})
-	srv1.campaign = func(j *Job) (*analysis.Result, []byte, error) {
+	campaign := func(j *Job) (*analysis.Result, []byte, error) {
 		return nil, []byte("finished report\n"), nil
 	}
+	srv1 := New(Config{Workers: 1, Journal: jn1, campaign: campaign})
 	j, err := srv1.Submit(Request{Component: "Account"})
 	if err != nil {
 		t.Fatal(err)

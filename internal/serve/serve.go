@@ -53,7 +53,6 @@ import (
 	"concat/internal/cover"
 	"concat/internal/driver"
 	"concat/internal/impact"
-	"concat/internal/mutation"
 	"concat/internal/obs"
 	"concat/internal/sandbox"
 	"concat/internal/serve/chaos"
@@ -509,6 +508,12 @@ type Config struct {
 	Faults *chaos.Faults
 	// Logf, when non-nil, receives one line per job transition.
 	Logf func(format string, args ...any)
+
+	// campaign, when non-nil, replaces the job's analysis; tests set it to
+	// pin workers at a controlled point. It is a construction-time input
+	// because New starts the workers (and replays the journal) before it
+	// returns.
+	campaign func(*Job) (*analysis.Result, []byte, error)
 }
 
 // DefaultTraceBuffer is the per-job trace retention cap when Config leaves
@@ -633,8 +638,8 @@ type Server struct {
 	workMu    sync.Mutex
 	shardSets []*shardSet
 
-	// campaign executes one job's analysis; tests substitute a stub to pin
-	// workers at a controlled point. Set before the first Submit.
+	// campaign executes one job's analysis: Config.campaign when set,
+	// runCampaign otherwise. Fixed before any worker starts.
 	campaign func(*Job) (*analysis.Result, []byte, error)
 
 	mu       sync.Mutex
@@ -686,7 +691,10 @@ func newServer(cfg Config) *Server {
 		jobs:    map[string]*Job{},
 		ready:   make(chan struct{}),
 	}
-	s.campaign = s.runCampaign
+	s.campaign = cfg.campaign
+	if s.campaign == nil {
+		s.campaign = s.runCampaign
+	}
 	s.store = cfg.Store
 	if store.Enabled(cfg.Store) {
 		s.store = &timedStore{inner: cfg.Store, metrics: s.metrics}
@@ -1214,7 +1222,7 @@ func (s *Server) runImpact(j *Job) (*analysis.Result, []byte, error) {
 		Exec:          exec,
 		Store:         s.store,
 		Parallelism:   s.cfg.Parallelism,
-		MutantMethods: mutantMethods(t),
+		MutantMethods: t.MutantMethods(),
 	}
 	res, err := r.Run(oldSpec, newSpec)
 	if err != nil {
@@ -1248,26 +1256,6 @@ func (s *Server) runImpact(j *Job) (*analysis.Result, []byte, error) {
 	buf.WriteString(res.Coverage.Suite.Summary())
 	buf.WriteString("\n")
 	return nil, []byte(buf.String()), nil
-}
-
-// mutantMethods enumerates the target's mutants over its experiment
-// methods, one method name per mutant, for the impact report's mutant
-// accounting. Components without instrumentation yield nil.
-func mutantMethods(t core.Target) []string {
-	if len(t.Sites) == 0 || len(t.ExperimentMethods) == 0 {
-		return nil
-	}
-	eng := mutation.NewEngine()
-	for _, site := range t.Sites {
-		if err := eng.RegisterSite(site); err != nil {
-			return nil
-		}
-	}
-	var out []string
-	for _, m := range eng.Enumerate(nil, t.ExperimentMethods) {
-		out = append(out, m.Method)
-	}
-	return out
 }
 
 // runLocal is the single-process campaign path. It doubles as the

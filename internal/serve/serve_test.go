@@ -407,14 +407,14 @@ func TestQueueFullRejectsWith503(t *testing.T) {
 	// One worker, depth 1: pin the worker inside a stub campaign, fill the
 	// one queue slot, and the next submission must bounce with 503 +
 	// Retry-After — deterministically, with no timing in play.
-	s, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 1})
 	started := make(chan string, 4)
 	release := make(chan struct{})
-	s.campaign = func(j *Job) (*analysis.Result, []byte, error) {
+	campaign := func(j *Job) (*analysis.Result, []byte, error) {
 		started <- j.ID
 		<-release
 		return nil, []byte("stub report\n"), nil
 	}
+	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 1, campaign: campaign})
 
 	first, code := submit(t, ts, Request{Component: "Account", Seed: 1})
 	if code != http.StatusAccepted {

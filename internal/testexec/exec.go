@@ -267,16 +267,15 @@ type Options struct {
 	// goroutines still spinning past their deadline). Either way the
 	// per-run abandonment count lands in Report.AbandonedGoroutines.
 	LeakLedger *sandbox.Ledger
-	// Isolation selects the crash-containment mode. IsolateSubprocess
-	// re-executes every case in a child case server so fatal mutant
-	// failures (stack exhaustion, os.Exit, OOM kill) become recorded
-	// OutcomePanic results instead of harness deaths.
+	// Isolation selects the crash-containment mode. The isolated modes
+	// execute cases in child case servers so fatal mutant failures (stack
+	// exhaustion, os.Exit, OOM kill) become recorded OutcomePanic results
+	// instead of harness deaths.
 	Isolation IsolationMode
-	// IsolationCommand is the argv of the case server to spawn under
-	// IsolateSubprocess. Empty defaults to re-executing this binary with a
-	// `run-case` argument (the concat CLI's hidden subcommand); test
-	// binaries typically pass their own os.Executable() plus a ServerEnv
-	// check in TestMain.
+	// IsolationCommand is the argv of the case server to spawn in the
+	// isolated modes. Empty defaults to re-executing this binary, which
+	// must call ServeFromEnv before it parses its arguments; test binaries
+	// do so in TestMain.
 	IsolationCommand []string
 	// IsolationEnv is appended to the case server's environment (ServerEnv
 	// is always set).
@@ -384,26 +383,20 @@ func Run(s *driver.Suite, f component.Factory, opts Options) (*Report, error) {
 				res.Detail = fmt.Sprintf("panic in harness hook: %v", p)
 			}
 		}()
-		if opts.Isolation == IsolateSubprocess {
-			// The child process is the case's fresh world; forking and
-			// provider resolution happen behind the case server's resolver.
-			res = runCaseIsolated(s.Component, tc, opts, seed, caseSpan, caseTel)
-		} else {
-			// Components whose instances share mutable context
-			// (component.Forker) get a fresh world per case: without this, a
-			// case's transcript depends on what earlier — or, under
-			// parallelism, concurrent — cases left behind in the shared state.
-			cf, caseOpts := f, opts
-			if fk, ok := f.(component.Forker); ok {
-				cf = fk.Fork()
-				if ps, ok := cf.(interface {
-					Providers() map[string]domain.Provider
-				}); ok && caseOpts.Providers != nil {
-					caseOpts.Providers = ps.Providers()
-				}
+		// Components whose instances share mutable context
+		// (component.Forker) get a fresh world per case: without this, a
+		// case's transcript depends on what earlier — or, under
+		// parallelism, concurrent — cases left behind in the shared state.
+		cf, caseOpts := f, opts
+		if fk, ok := f.(component.Forker); ok {
+			cf = fk.Fork()
+			if ps, ok := cf.(interface {
+				Providers() map[string]domain.Provider
+			}); ok && caseOpts.Providers != nil {
+				caseOpts.Providers = ps.Providers()
 			}
-			res = runCaseBounded(tc, cf, spec, caseOpts, seed, ledger, caseSpan.ID(), caseTel)
 		}
+		res = runCaseBounded(tc, cf, spec, caseOpts, seed, ledger, caseSpan.ID(), caseTel)
 		res.Seed = seed
 		if opts.Oracle != nil && res.Outcome == OutcomePass {
 			if err := opts.Oracle.Check(tc.ID, res.Transcript); err != nil {
@@ -453,10 +446,11 @@ func Run(s *driver.Suite, f component.Factory, opts Options) (*Report, error) {
 		suiteSpan.End()
 		opts.Metrics.Inc("suite.runs", 1)
 	}
-	if opts.Isolation == IsolatePool {
-		// Warm worker pool: batched dispatch replaces the per-case runOne
-		// loop; all per-case bookkeeping (spans, oracle, telemetry, metrics)
-		// happens inside the dispatcher with the same rules.
+	if opts.Isolation != IsolateInProcess {
+		// Isolated modes: batched dispatch to case-server workers replaces
+		// the per-case runOne loop; all per-case bookkeeping (spans, oracle,
+		// telemetry, metrics) happens inside the dispatcher with the same
+		// rules.
 		results, err := runPooled(s, opts, suiteSpan, suiteTel)
 		if err != nil {
 			return nil, err

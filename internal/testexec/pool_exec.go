@@ -1,15 +1,18 @@
-// The warm worker pool isolation mode (IsolatePool). Spawn-per-case
-// isolation pays a fork+exec per test case; under a mutation campaign that
-// cost dominates the run. IsolatePool keeps the same case-server contract
-// — fresh world per case, fatal deaths classified from the exit status —
-// but dispatches *batches* of cases to long-lived worker processes over
-// length-prefixed NDJSON frames, restarting a worker only when it crashes,
-// blows its deadline, or finishes a batch dirty (a timed-out case leaves
-// an abandoned goroutine in the worker; reusing that address space would
-// break the fresh-world guarantee). One warm worker also serves many
-// mutants back to back: each batch frame carries its own isolation
-// context, so a campaign re-arms mutants on the child side without any
-// per-mutant provisioning — the mutant-schemata amortization.
+// The isolation protocol. Both isolated modes dispatch *batches* of cases
+// to case-server worker processes over length-prefixed NDJSON frames, each
+// case executing against a freshly resolved component, with fatal deaths
+// classified from the worker's exit status.
+//
+// IsolateSubprocess sends one-case batches and recycles the worker after
+// every case, so each case runs in a process of its own and pays a
+// fork+exec. IsolatePool amortizes that cost — under a mutation campaign
+// it dominates the run — by keeping workers warm, restarting one only when
+// it crashes, blows its deadline, or finishes a batch dirty (a timed-out
+// case leaves an abandoned goroutine in the worker; reusing that address
+// space would break the fresh-world guarantee). One warm worker also
+// serves many mutants back to back: each batch frame carries its own
+// isolation context, so a campaign re-arms mutants on the child side
+// without any per-mutant provisioning — the mutant-schemata amortization.
 package testexec
 
 import (
@@ -27,11 +30,6 @@ import (
 	"concat/internal/obs"
 	"concat/internal/sandbox/pool"
 )
-
-// BatchServerValue is the ServerEnv value that selects the batch case
-// server (ServeCaseBatches). Any other non-empty value selects the
-// single-case server (ServeCase), preserving the PR-2 wire contract.
-const BatchServerValue = "batch"
 
 // DefaultBatchSize is the number of cases dispatched per worker
 // round-trip when Options.BatchSize is unset. Large enough to amortize a
@@ -76,33 +74,28 @@ type batchResponse struct {
 	Dirty    bool             `json:"dirty,omitempty"`
 }
 
-// ServeFromEnv checks the ServerEnv sentinel and, when set, turns the
-// current process into a case server on r/w: the batch server when the
-// value is BatchServerValue, the single-case server otherwise. It returns
-// false (doing nothing) when the sentinel is unset — call it first thing
-// in main or TestMain of any binary that should be usable as its own
-// sandbox, and exit when it returns true.
+// ServeFromEnv checks the ServerEnv sentinel and, when it is set, turns the
+// current process into a batch case server on r/w. It returns false (doing
+// nothing) when the sentinel is unset — call it first thing in main or
+// TestMain of any binary that should be usable as its own sandbox, and
+// exit when it returns true.
 func ServeFromEnv(r io.Reader, w io.Writer, resolve Resolver) (bool, error) {
-	switch os.Getenv(ServerEnv) {
-	case "":
+	if os.Getenv(ServerEnv) == "" {
 		return false, nil
-	case BatchServerValue:
-		return true, ServeCaseBatches(r, w, resolve)
-	default:
-		return true, ServeCase(r, w, resolve)
 	}
+	return true, ServeCaseBatches(r, w, resolve)
 }
 
-// ServeCaseBatches is the warm worker's serve loop: read a batchRequest
-// frame, execute its cases in order — each against a freshly resolved
-// component, so every case keeps the fresh-world semantics of
-// spawn-per-case isolation — streaming one batchResponse frame per case
-// plus a Done frame, until stdin closes. Fatal failures of the code under
-// test kill this process mid-batch by design; the parent classifies the
-// death and re-dispatches the batch's remaining cases to a fresh worker.
+// ServeCaseBatches is the worker's serve loop: read a batchRequest frame,
+// execute its cases in order — each against a freshly resolved component,
+// so every case keeps fresh-world semantics — streaming one batchResponse
+// frame per case plus a Done frame, until stdin closes. Fatal failures of
+// the code under test kill this process mid-batch by design; the parent
+// classifies the death and re-dispatches the batch's remaining cases to a
+// fresh worker.
 func ServeCaseBatches(r io.Reader, w io.Writer, resolve Resolver) error {
-	// Same small stack cap as ServeCase: stack-exhaustion mutants die fast
-	// with the same deterministic "fatal error: stack overflow".
+	// A small stack cap makes stack-exhaustion mutants die fast and cheap
+	// with a deterministic "fatal error: stack overflow".
 	debug.SetMaxStack(64 << 20)
 	br := bufio.NewReader(r)
 	send := func(resp batchResponse) error {
@@ -152,9 +145,9 @@ func ServeCaseBatches(r io.Reader, w io.Writer, resolve Resolver) error {
 	}
 }
 
-// serveBatchItem executes one batch case exactly the way ServeCase would:
-// fresh resolution (fresh factory, fresh mutation engine), bounded run,
-// Finish/trace piggybacked on Extra, telemetry dropped on timeout.
+// serveBatchItem executes one batch case: fresh resolution (fresh factory,
+// fresh mutation engine), bounded run, Finish/trace piggybacked on Extra,
+// telemetry dropped on timeout. Resolution errors are reported in-band.
 func serveBatchItem(req batchRequest, item batchItem, resolve Resolver) batchResponse {
 	if resolve == nil {
 		return batchResponse{Error: "case server has no resolver"}
@@ -176,6 +169,9 @@ func serveBatchItem(req batchRequest, item batchItem, resolve Resolver) batchRes
 		MaxTranscriptBytes:  req.MaxTranscriptBytes,
 	}
 	if req.Trace {
+		// Collect the worker's call spans in memory; they travel back to
+		// the parent inside Extra and are re-parented under the dispatch
+		// span there.
 		opts.Trace = obs.NewCollector()
 	}
 	caseTel := bit.NewTelemetry()
@@ -189,18 +185,20 @@ func serveBatchItem(req batchRequest, item batchItem, resolve Resolver) batchRes
 	}
 	resp := batchResponse{Result: &res}
 	if res.Outcome != OutcomeTimeout {
+		// A timed-out case's abandoned goroutine may still be recording;
+		// dropping its counts keeps the aggregate deterministic, matching
+		// the in-process merge rule.
 		resp.BITSites = caseTel.Records()
 	}
 	return resp
 }
 
-// NewWorkerPool builds the warm worker pool Run uses under IsolatePool,
-// resolving the worker argv the same way spawn-per-case isolation does
-// (Options.IsolationCommand, defaulting to re-executing this binary with
-// `run-case`) and setting ServerEnv to the batch value. size <= 0 falls
-// back to Options.PoolSize, then Options.Parallelism, then 1. Callers that
-// share one pool across many Run invocations (a mutation campaign) own
-// Close; pass the pool via Options.WorkerPool.
+// NewWorkerPool builds the worker pool Run uses in the isolated modes: the
+// worker argv is Options.IsolationCommand, defaulting to re-executing this
+// binary, and ServerEnv is always set. size <= 0 falls back to
+// Options.PoolSize, then Options.Parallelism, then 1. Callers that share
+// one pool across many Run invocations (a mutation campaign) own Close;
+// pass the pool via Options.WorkerPool.
 func NewWorkerPool(opts Options, size int) (*pool.Pool, error) {
 	argv := opts.IsolationCommand
 	if len(argv) == 0 {
@@ -208,7 +206,7 @@ func NewWorkerPool(opts Options, size int) (*pool.Pool, error) {
 		if err != nil {
 			return nil, fmt.Errorf("testexec: resolving executable for isolation: %w", err)
 		}
-		argv = []string{exe, "run-case"}
+		argv = []string{exe}
 	}
 	if size <= 0 {
 		size = opts.PoolSize
@@ -221,7 +219,7 @@ func NewWorkerPool(opts Options, size int) (*pool.Pool, error) {
 	}
 	return pool.New(pool.Config{
 		Argv:  argv,
-		Env:   append([]string{ServerEnv + "=" + BatchServerValue}, opts.IsolationEnv...),
+		Env:   append([]string{ServerEnv + "=1"}, opts.IsolationEnv...),
 		Size:  size,
 		Retry: opts.SpawnRetry,
 	})
@@ -235,14 +233,18 @@ type poolDispatcher struct {
 	suiteSpan *obs.ActiveSpan
 	suiteTel  *bit.Telemetry
 	deadline  time.Duration
-	results   []CaseResult
+	// recycle discards every worker after its batch instead of returning
+	// it to the pool: IsolateSubprocess's process-per-case guarantee.
+	recycle bool
+	results []CaseResult
 }
 
-// runPooled executes the suite under IsolatePool: cases are cut into
-// batches in suite order, batches are dispatched to warm workers (one
-// dispatcher per Options.Parallelism), and each case's classification is
-// byte-identical to what the spawn-per-case path records — same outcomes,
-// same details, same seeds, same telemetry merge rule.
+// runPooled executes the suite in an isolated mode: cases are cut into
+// batches in suite order (one case per batch under IsolateSubprocess),
+// batches are dispatched to workers (one dispatcher per
+// Options.Parallelism), and each case's classification is the same in
+// both modes — same outcomes, same details, same seeds, same telemetry
+// merge rule.
 func runPooled(s *driver.Suite, opts Options, suiteSpan *obs.ActiveSpan, suiteTel *bit.Telemetry) ([]CaseResult, error) {
 	p := opts.WorkerPool
 	if p == nil {
@@ -253,8 +255,11 @@ func runPooled(s *driver.Suite, opts Options, suiteSpan *obs.ActiveSpan, suiteTe
 		}
 		defer p.Close()
 	}
+	recycle := opts.Isolation == IsolateSubprocess
 	batchSize := opts.BatchSize
-	if batchSize <= 0 {
+	if recycle {
+		batchSize = 1
+	} else if batchSize <= 0 {
 		batchSize = DefaultBatchSize
 	}
 	type span struct{ start, end int }
@@ -273,6 +278,7 @@ func runPooled(s *driver.Suite, opts Options, suiteSpan *obs.ActiveSpan, suiteTe
 		suiteSpan: suiteSpan,
 		suiteTel:  suiteTel,
 		deadline:  isolationDeadline(opts),
+		recycle:   recycle,
 		results:   make([]CaseResult, len(s.Cases)),
 	}
 	workers := opts.Parallelism
@@ -306,45 +312,67 @@ func runPooled(s *driver.Suite, opts Options, suiteSpan *obs.ActiveSpan, suiteTe
 
 // dispatchBatch runs cases [start, end) of the suite on pool workers. A
 // worker death mid-batch consumes exactly the in-flight case (classified
-// from the worker's fate, like a spawn-per-case child death) and
-// re-dispatches the batch's remaining cases to a fresh worker exactly
-// once each — a case is never executed twice and never lost.
+// from the worker's fate) and re-dispatches the batch's remaining cases to
+// a fresh worker exactly once each — a case is never executed twice and
+// never lost.
 func (d *poolDispatcher) dispatchBatch(start, end int) {
 	remaining := start
 	sendFailures := 0
+	// The first pending case's spans open before the worker is acquired,
+	// so its dispatch span covers a recycled worker's process startup.
+	first := d.startCase(start)
 	for remaining < end {
 		w, err := d.pool.Acquire()
 		if err != nil {
-			for i := remaining; i < end; i++ {
-				d.finishCase(i, d.baseResult(i, OutcomeError, fmt.Sprintf("spawning case server: %v", err)), "spawn-error", nil, time.Now())
-			}
+			d.failRest(first, remaining, end, fmt.Sprintf("spawning case server: %v", err), "spawn-error")
 			return
 		}
-		next, ok := d.runBatchOn(w, remaining, end)
+		next, ok := d.runBatchOn(w, remaining, end, first)
 		if !ok {
 			// Send failed on an idle worker that died between batches. The
 			// pool spawns a fresh worker on re-acquire; a bounded number of
 			// consecutive failures means spawning itself is broken.
 			if sendFailures++; sendFailures >= 3 {
-				for i := remaining; i < end; i++ {
-					d.finishCase(i, d.baseResult(i, OutcomeError, "case server pipe failed repeatedly"), "spawn-error", nil, time.Now())
-				}
+				d.failRest(first, remaining, end, "case server pipe failed repeatedly", "spawn-error")
 				return
 			}
 			continue
 		}
 		if next < end {
 			d.opts.Metrics.Inc("pool.redispatches", 1)
+			first = d.startCase(next)
 		}
 		remaining = next
 	}
 }
 
+// failRest records the same harness error for cases [start, end), the
+// first of which already has its spans open.
+func (d *poolDispatcher) failRest(first caseTrace, start, end int, detail, exit string) {
+	for i := start; i < end; i++ {
+		if i > start {
+			first = d.startCase(i)
+		}
+		d.finishCase(i, first, d.baseResult(i, OutcomeError, detail), exit, nil)
+	}
+}
+
+// putBack returns a worker whose batch completed cleanly: to the idle set,
+// or — under IsolateSubprocess — to the recycler.
+func (d *poolDispatcher) putBack(w *pool.Worker) {
+	if d.recycle {
+		d.pool.Discard(w)
+		return
+	}
+	d.pool.Release(w)
+}
+
 // runBatchOn dispatches cases [start, end) to one worker and consumes its
-// item frames. It returns the next case index still to run (end when the
-// batch completed) and whether the request was delivered at all; ok=false
-// means no case was consumed and the batch should be retried whole.
-func (d *poolDispatcher) runBatchOn(w *pool.Worker, start, end int) (next int, ok bool) {
+// item frames; cur holds the open spans of case start. It returns the next
+// case index still to run (end when the batch completed) and whether the
+// request was delivered at all; ok=false means no case was consumed and
+// the batch should be retried whole.
+func (d *poolDispatcher) runBatchOn(w *pool.Worker, start, end int, cur caseTrace) (next int, ok bool) {
 	req := batchRequest{
 		Component:           d.s.Component,
 		SkipInvariantChecks: d.opts.SkipInvariantChecks,
@@ -361,10 +389,8 @@ func (d *poolDispatcher) runBatchOn(w *pool.Worker, start, end int) (next int, o
 	}
 	payload, err := json.Marshal(req)
 	if err != nil {
-		d.pool.Release(w)
-		for i := start; i < end; i++ {
-			d.finishCase(i, d.baseResult(i, OutcomeError, fmt.Sprintf("encoding isolated case request: %v", err)), "encode-error", nil, time.Now())
-		}
+		d.putBack(w)
+		d.failRest(cur, start, end, fmt.Sprintf("encoding isolated case request: %v", err), "encode-error")
 		return end, true
 	}
 	if err := w.Send(payload); err != nil {
@@ -373,22 +399,27 @@ func (d *poolDispatcher) runBatchOn(w *pool.Worker, start, end int) (next int, o
 	}
 	d.opts.Metrics.Inc("pool.batches", 1)
 
-	begin := time.Now()
 	for i := start; i < end; i++ {
+		if i > start {
+			// The worker moves on to case i as soon as it has answered i-1.
+			cur = d.startCase(i)
+		}
 		tc := d.s.Cases[i]
 		frame, err := w.Recv(d.deadline)
 		if err == pool.ErrRecvTimeout {
 			// The worker is wedged beyond cooperation: the parent-side
-			// backstop kill, classified exactly like the spawn path's.
+			// backstop kill.
 			d.pool.Discard(w)
 			d.opts.Metrics.Inc("isolation.backstop-timeouts", 1)
 			res := d.baseResult(i, OutcomeTimeout, fmt.Sprintf("isolated case exceeded the %v harness deadline; subprocess killed", d.deadline))
-			d.finishCase(i, res, "backstop-timeout", nil, begin)
+			d.finishCase(i, cur, res, "backstop-timeout", nil)
 			return i + 1, true
 		}
 		if err != nil {
 			// The worker's stream ended mid-batch: the in-flight case killed
-			// it. Classify from the fate, spawn-path style.
+			// it. A non-zero exit is the code under test killing the process
+			// (criterion (i)); exit 0 without a result is a broken case
+			// server, a harness error.
 			code, summary := w.Fate()
 			d.pool.Discard(w)
 			var res CaseResult
@@ -399,52 +430,47 @@ func (d *poolDispatcher) runBatchOn(w *pool.Worker, start, end int) (next int, o
 				exit = "no-result"
 				res = d.baseResult(i, OutcomeError, "case server exited without a result")
 			}
-			d.finishCase(i, res, exit, nil, begin)
+			d.finishCase(i, cur, res, exit, nil)
 			return i + 1, true
 		}
 		var resp batchResponse
 		if err := json.Unmarshal(frame, &resp); err != nil {
 			d.pool.Discard(w)
-			d.finishCase(i, d.baseResult(i, OutcomeError, fmt.Sprintf("decoding batch response: %v", err)), "decode-error", nil, begin)
+			d.finishCase(i, cur, d.baseResult(i, OutcomeError, fmt.Sprintf("decoding batch response: %v", err)), "decode-error", nil)
 			return i + 1, true
 		}
 		if resp.Done {
 			if resp.Error != "" {
 				// The worker could not decode the request; every case of this
 				// batch gets the server error, worker stays healthy.
-				for j := i; j < end; j++ {
-					d.finishCase(j, d.baseResult(j, OutcomeError, "case server: "+resp.Error), "server-error", nil, begin)
-					begin = time.Now()
-				}
-				d.pool.Release(w)
+				d.putBack(w)
+				d.failRest(cur, i, end, "case server: "+resp.Error, "server-error")
 				return end, true
 			}
 			d.pool.Discard(w)
-			d.finishCase(i, d.baseResult(i, OutcomeError, "case server ended batch early"), "protocol-error", nil, begin)
+			d.finishCase(i, cur, d.baseResult(i, OutcomeError, "case server ended batch early"), "protocol-error", nil)
 			return i + 1, true
 		}
 		if resp.Error != "" {
 			// Per-item resolution failure; the worker keeps serving.
-			d.finishCase(i, d.baseResult(i, OutcomeError, "case server: "+resp.Error), "server-error", nil, begin)
-			begin = time.Now()
+			d.finishCase(i, cur, d.baseResult(i, OutcomeError, "case server: "+resp.Error), "server-error", nil)
 			continue
 		}
 		if resp.Result == nil {
 			d.pool.Discard(w)
-			d.finishCase(i, d.baseResult(i, OutcomeError, "case server sent an empty item response"), "protocol-error", nil, begin)
+			d.finishCase(i, cur, d.baseResult(i, OutcomeError, "case server sent an empty item response"), "protocol-error", nil)
 			return i + 1, true
 		}
 		res := *resp.Result
 		res.CaseID, res.Transaction = tc.ID, tc.Transaction
-		d.finishCase(i, res, "ok", resp.BITSites, begin)
-		begin = time.Now()
+		d.finishCase(i, cur, res, "ok", resp.BITSites)
 	}
 	// All items answered; consume the Done frame and honor its Dirty flag.
 	frame, err := w.Recv(d.deadline)
 	if err == nil {
 		var done batchResponse
 		if jsonErr := json.Unmarshal(frame, &done); jsonErr == nil && done.Done && !done.Dirty {
-			d.pool.Release(w)
+			d.putBack(w)
 			return end, true
 		}
 	}
@@ -455,8 +481,7 @@ func (d *poolDispatcher) runBatchOn(w *pool.Worker, start, end int) (next int, o
 	return end, true
 }
 
-// baseResult builds the parent-side classification shell for case i,
-// matching the fields the spawn path stamps.
+// baseResult builds the parent-side classification shell for case i.
 func (d *poolDispatcher) baseResult(i int, outcome Outcome, detail string) CaseResult {
 	tc := d.s.Cases[i]
 	return CaseResult{
@@ -468,25 +493,43 @@ func (d *poolDispatcher) baseResult(i int, outcome Outcome, detail string) CaseR
 	}
 }
 
-// finishCase applies the per-case bookkeeping Run's in-process/spawn paths
-// do in runOne: case + dispatch spans, child-span re-parenting, oracle
-// check (with harness-hook panic containment), telemetry merge (timeouts
-// contribute nothing), metrics, and the index-aligned result store.
-func (d *poolDispatcher) finishCase(i int, res CaseResult, exit string, sites []bit.SiteRecord, begin time.Time) {
+// caseTrace is one case's open case and dispatch spans plus the time the
+// case was handed to a worker.
+type caseTrace struct {
+	caseSpan, dispatch *obs.ActiveSpan
+	begin              time.Time
+}
+
+// startCase opens case i's case and dispatch spans as the case is handed
+// to a worker, so the dispatch span measures the case's time in the
+// worker process.
+func (d *poolDispatcher) startCase(i int) caseTrace {
 	tc := d.s.Cases[i]
 	caseSpan := d.opts.Trace.Start(d.suiteSpan.ID(), obs.KindCase, tc.ID)
 	caseSpan.SetAttr("transaction", tc.Transaction)
-	dispatch := d.opts.Trace.Start(caseSpan.ID(), obs.KindSpawn, tc.ID)
-	dispatch.SetAttr("exit", exit)
+	return caseTrace{
+		caseSpan: caseSpan,
+		dispatch: d.opts.Trace.Start(caseSpan.ID(), obs.KindSpawn, tc.ID),
+		begin:    time.Now(),
+	}
+}
+
+// finishCase applies the per-case bookkeeping Run's in-process path does
+// in runOne: span close-out, child-span re-parenting, oracle check (with
+// harness-hook panic containment), telemetry merge (timeouts contribute
+// nothing), metrics, and the index-aligned result store.
+func (d *poolDispatcher) finishCase(i int, ct caseTrace, res CaseResult, exit string, sites []bit.SiteRecord) {
+	tc := d.s.Cases[i]
+	ct.dispatch.SetAttr("exit", exit)
 	if d.opts.Trace != nil && exit == "ok" {
 		// Split the worker's piggybacked spans off Extra and re-parent them
 		// under the dispatch span; the report keeps the exact payload bytes
 		// an untraced run would have carried.
 		payload, childSpans := obs.UnwrapExtra(res.Extra)
 		res.Extra = payload
-		d.opts.Trace.EmitChildren(dispatch.ID(), childSpans)
+		d.opts.Trace.EmitChildren(ct.dispatch.ID(), childSpans)
 	}
-	dispatch.End()
+	ct.dispatch.End()
 	if d.opts.Oracle != nil && res.Outcome == OutcomePass {
 		// Oracle panics must become recorded per-case outcomes, never
 		// harness crashes — same containment as runCaseInner's hook guard.
@@ -506,15 +549,15 @@ func (d *poolDispatcher) finishCase(i int, res CaseResult, exit string, sites []
 	if res.Outcome != OutcomeTimeout {
 		d.suiteTel.MergeRecords(sites)
 	}
-	caseSpan.SetAttr("outcome", res.Outcome.String())
+	ct.caseSpan.SetAttr("outcome", res.Outcome.String())
 	if res.Method != "" {
-		caseSpan.SetAttr("method", res.Method)
+		ct.caseSpan.SetAttr("method", res.Method)
 	}
-	caseSpan.End()
+	ct.caseSpan.End()
 	if d.opts.Metrics != nil {
 		d.opts.Metrics.Inc("case.total", 1)
 		d.opts.Metrics.Inc("case.outcome."+res.Outcome.String(), 1)
-		d.opts.Metrics.Observe("case.duration", tc.ID, time.Since(begin))
+		d.opts.Metrics.Observe("case.duration", tc.ID, time.Since(ct.begin))
 	}
 	d.results[i] = res
 }

@@ -329,3 +329,27 @@ func TestOutcomeResourceExhaustedString(t *testing.T) {
 		t.Errorf("String() = %q", got)
 	}
 }
+
+// TestIsolationMissingCaseServerBinary: a case server that cannot be
+// spawned is a per-case harness error in both isolated modes, never a Run
+// failure — every case is recorded, each with the spawn error.
+func TestIsolationMissingCaseServerBinary(t *testing.T) {
+	for _, mode := range []IsolationMode{IsolateSubprocess, IsolatePool} {
+		s := chaosSuite()
+		rep, err := Run(s, &chaosFactory{}, Options{
+			Isolation:        mode,
+			IsolationCommand: []string{"/nonexistent/binary"},
+		})
+		if err != nil {
+			t.Fatalf("mode %d: Run returned %v, want per-case errors", mode, err)
+		}
+		if len(rep.Results) != len(s.Cases) {
+			t.Fatalf("mode %d: %d results for %d cases", mode, len(rep.Results), len(s.Cases))
+		}
+		for _, res := range rep.Results {
+			if res.Outcome != OutcomeError || !strings.HasPrefix(res.Detail, "spawning case server:") {
+				t.Errorf("mode %d, case %s: %s %q, want error with a spawn detail", mode, res.CaseID, res.Outcome, res.Detail)
+			}
+		}
+	}
+}

@@ -22,8 +22,8 @@ import (
 
 // TestMain doubles the test binary as a case server for the isolation
 // modes below: when spawned with the executor's ServerEnv sentinel set it
-// serves cases over stdin/stdout — one-shot or the warm-pool batch loop,
-// per the sentinel's value — and exits instead of running the tests.
+// serves case batches over stdin/stdout and exits instead of running the
+// tests.
 func TestMain(m *testing.M) {
 	if served, err := testexec.ServeFromEnv(os.Stdin, os.Stdout, core.CaseResolver()); served {
 		if err != nil {

@@ -1,7 +1,8 @@
 // Warm-pool dispatch benchmark: the point of the worker pool is that a
 // crash-contained case costs one pipe round-trip instead of one process
-// spawn. This test measures per-case latency of spawn-per-case isolation
-// (cold) against warm-pool batched dispatch on the same suite, asserts the
+// spawn. This test measures per-case latency of IsolateSubprocess (cold: a
+// worker spawned for every case and recycled after it) against
+// IsolatePool's warm batched dispatch on the same suite, asserts the
 // pool is actually faster — the claim holds even on a single CPU, because
 // the saving is fork/exec cost, not parallelism — and with -update-bench
 // records the measurement in BENCH_POOL.json.
@@ -45,7 +46,7 @@ func timeIsolationMode(t *testing.T, comp *core.Component, suite *driver.Suite, 
 
 // TestPoolWarmDispatchFasterThanColdSpawn is the pool's performance
 // acceptance (and the CI bench smoke): per-case latency under warm-pool
-// dispatch must beat spawn-per-case isolation. No margin multiplier is
+// dispatch must beat process-per-case isolation. No margin multiplier is
 // applied — a pool that cannot beat one fork/exec per case has no reason
 // to exist.
 func TestPoolWarmDispatchFasterThanColdSpawn(t *testing.T) {
@@ -69,7 +70,7 @@ func TestPoolWarmDispatchFasterThanColdSpawn(t *testing.T) {
 
 	if *updateBenchJSON {
 		record := map[string]any{
-			"benchmark":         "per-case isolation latency: spawn-per-case (cold) vs warm pool batched dispatch",
+			"benchmark":         "per-case isolation latency: a worker recycled after every case (cold, -isolate) vs warm pool batched dispatch (-pool)",
 			"command":           "go test -run TestPoolWarmDispatchFasterThanColdSpawn -update-bench .",
 			"component":         "Account",
 			"cases":             len(suite.Cases),
