@@ -375,9 +375,10 @@ func (a *Analysis) runParallel(mutants []mutation.Mutant, golden *testexec.Golde
 }
 
 // runMutant executes the suite against one activated mutant on the given
-// engine/factory pair. With a verdict store configured it first looks the
-// mutant up by content address and, on a hit, replays the recorded verdict
-// without executing the suite.
+// engine/factory pair, up to and including the first case that kills it.
+// With a verdict store configured it first looks the mutant up by content
+// address and, on a hit, replays the recorded verdict without executing
+// the suite.
 func (a *Analysis) runMutant(eng *mutation.Engine, factory component.Factory, m mutation.Mutant, golden *testexec.Golden, campaignSpan obs.SpanID, cache *cacheState) (MutantResult, error) {
 	var key store.Key
 	if cache != nil {
@@ -444,9 +445,19 @@ func (a *Analysis) runMutant(eng *mutation.Engine, factory component.Factory, m 
 		began = time.Now()
 	}
 
+	res := MutantResult{Mutant: m}
 	opts := a.Exec
-	opts.Oracle = nil // compare via golden.Differs below, on full results
+	opts.Oracle = nil // killReason compares against the golden run itself
 	opts.TraceParent = mspan.ID()
+	// The suite stops at the mutant's first killing case: the verdict
+	// needs nothing after it.
+	opts.Stop = func(c testexec.CaseResult) bool {
+		reason := killReason(c, golden)
+		if reason != 0 {
+			res.Killed, res.Reason, res.KillingCase = true, reason, c.CaseID
+		}
+		return reason != 0
+	}
 	isolated := opts.Isolation == testexec.IsolateSubprocess || opts.Isolation == testexec.IsolatePool
 	if isolated {
 		// The mutant executes inside the case server, not in this process:
@@ -462,13 +473,11 @@ func (a *Analysis) runMutant(eng *mutation.Engine, factory component.Factory, m 
 	if err != nil {
 		return MutantResult{}, fmt.Errorf("mutation: mutant %s: %w", m.ID, err)
 	}
-	res := MutantResult{Mutant: m, Reached: eng.Reached(), Infected: eng.Infected()}
+	res.Reached, res.Infected = eng.Reached(), eng.Infected()
 	if isolated {
 		// Reach/infection happened in the children; reconstruct the flags
-		// from the per-case Extra payloads. A case that died fatally ships
-		// no flags — reaching a fault that kills the process still counts,
-		// but only via cases that lived to report, so fatal mutants rely on
-		// the crash kill, not the equivalence bookkeeping.
+		// from the per-case Extra payloads of the cases that lived to
+		// report.
 		for _, caseRes := range rep.Results {
 			var f CaseFlags
 			if len(caseRes.Extra) > 0 && json.Unmarshal(caseRes.Extra, &f) == nil {
@@ -477,36 +486,19 @@ func (a *Analysis) runMutant(eng *mutation.Engine, factory component.Factory, m 
 			}
 		}
 	}
-	for _, caseRes := range rep.Results {
-		refOutcome := golden.Outcomes[caseRes.CaseID]
-		switch {
-		case caseRes.Outcome == testexec.OutcomePanic && refOutcome != testexec.OutcomePanic.String():
-			res.Killed, res.Reason, res.KillingCase = true, KillCrash, caseRes.CaseID
-		case caseRes.Outcome == testexec.OutcomeTimeout && refOutcome != testexec.OutcomeTimeout.String():
-			// A hanging mutant is killed by timeout — the paper's testbed
-			// equivalent of criterion (i), "the program crashed".
-			res.Killed, res.Reason, res.KillingCase = true, KillCrash, caseRes.CaseID
-		case caseRes.Outcome == testexec.OutcomeResourceExhausted && refOutcome != testexec.OutcomeResourceExhausted.String():
-			// A mutant that burns the step budget or floods the transcript
-			// is a runaway caught at a deterministic point — criterion (i)
-			// again, like the timeout, but reproducible bit-for-bit.
-			res.Killed, res.Reason, res.KillingCase = true, KillCrash, caseRes.CaseID
-		case caseRes.Outcome == testexec.OutcomeViolation && refOutcome != testexec.OutcomeViolation.String():
-			res.Killed, res.Reason, res.KillingCase = true, KillAssertion, caseRes.CaseID
-		case golden.Differs(caseRes):
-			res.Killed, res.Reason, res.KillingCase = true, KillOutputDiff, caseRes.CaseID
-		}
-		if res.Killed {
-			break
-		}
+	if res.Killed {
+		// A kill is a behaviour difference from the original, which needs
+		// the site reached and a value changed. In-process the engine has
+		// already seen both; under isolation the killing case may have
+		// taken its worker down before it could report them.
+		res.Reached, res.Infected = true, true
 	}
 	mspan.SetAttr("killed", strconv.FormatBool(res.Killed))
 	if res.Killed {
 		mspan.SetAttr("reason", res.Reason.String())
 		mspan.SetAttr("killingCase", res.KillingCase)
-		if kc, ok := rep.Result(res.KillingCase); ok {
-			mspan.SetAttr("killingOutcome", kc.Outcome.String())
-		}
+		// The run stopped at the killing case, so it is the last result.
+		mspan.SetAttr("killingOutcome", rep.Results[len(rep.Results)-1].Outcome.String())
 	} else if res.Equivalent() {
 		mspan.SetAttr("equivalent", "true")
 	}
@@ -539,6 +531,32 @@ func (a *Analysis) runMutant(eng *mutation.Engine, factory component.Factory, m 
 		}
 	}
 	return res, nil
+}
+
+// killReason decides whether one mutant case result kills the mutant, by
+// the paper's three criteria against the original program's golden run:
+// a crash, an assertion violation the original did not raise, or an
+// output difference. Zero means the case does not kill.
+func killReason(c testexec.CaseResult, golden *testexec.Golden) KillReason {
+	ref := golden.Outcomes[c.CaseID]
+	switch {
+	case c.Outcome == testexec.OutcomePanic && ref != testexec.OutcomePanic.String():
+		return KillCrash
+	case c.Outcome == testexec.OutcomeTimeout && ref != testexec.OutcomeTimeout.String():
+		// A hanging mutant is killed by timeout — the paper's testbed
+		// equivalent of criterion (i), "the program crashed".
+		return KillCrash
+	case c.Outcome == testexec.OutcomeResourceExhausted && ref != testexec.OutcomeResourceExhausted.String():
+		// A mutant that burns the step budget or floods the transcript is a
+		// runaway caught at a deterministic point — criterion (i) again,
+		// like the timeout, but reproducible bit-for-bit.
+		return KillCrash
+	case c.Outcome == testexec.OutcomeViolation && ref != testexec.OutcomeViolation.String():
+		return KillAssertion
+	case golden.Differs(c):
+		return KillOutputDiff
+	}
+	return 0
 }
 
 // OperatorRow is one line of the paper's Tables 2/3: per-operator totals.

@@ -162,3 +162,28 @@ func TestFatalCampaignPoolVerdictUnchanged(t *testing.T) {
 		t.Errorf("pool reference reports differ between serial and parallel scheduling")
 	}
 }
+
+// TestFatallyKilledMutantIsReachedAndInfected: a mutant whose first
+// reaching case kills its worker process never gets to ship its
+// reach/infection flags, yet the kill itself proves both. Under either
+// isolated mode the fatal mutants are reported Reached and Infected, as an
+// in-process engine that survived the fault would report them.
+func TestFatallyKilledMutantIsReachedAndInfected(t *testing.T) {
+	for _, mode := range []testexec.IsolationMode{testexec.IsolateSubprocess, testexec.IsolatePool} {
+		res := fatalCampaignMode(t, 1, mode)
+		for _, fatal := range []struct {
+			op   mutation.Operator
+			repl string
+		}{{mutation.OpRepGlob, "hard"}, {mutation.OpRepExt, "boom"}} {
+			mr := findMutant(t, res, fatal.op, fatal.repl)
+			if !mr.Killed || mr.Reason != analysis.KillCrash || mr.KillingCase != "M0" {
+				t.Errorf("mode %v, %s(%s): killed=%v reason=%v case=%q, want a crash kill on M0",
+					mode, fatal.op, fatal.repl, mr.Killed, mr.Reason, mr.KillingCase)
+			}
+			if !mr.Reached || !mr.Infected {
+				t.Errorf("mode %v, %s(%s): reached=%v infected=%v, want both",
+					mode, fatal.op, fatal.repl, mr.Reached, mr.Infected)
+			}
+		}
+	}
+}

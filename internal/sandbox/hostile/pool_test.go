@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"concat/internal/mutation"
+	"concat/internal/obs"
 	"concat/internal/sandbox/hostile"
 	"concat/internal/sandbox/pool"
 	"concat/internal/testexec"
@@ -103,6 +104,34 @@ func TestPoolMidBatchCrashRedispatchesExactlyOnce(t *testing.T) {
 			t.Errorf("case %s transcript diverged from the fresh-world reference:\n%q\nvs\n%q",
 				rep.Results[i].CaseID, rep.Results[i].Transcript, benign.Results[i].Transcript)
 		}
+	}
+}
+
+// TestPoolStopAtFatalCaseEndsRun: when the stopping case is the one that
+// kills its worker mid-batch, the run ends there — the batch's remaining
+// cases are not re-dispatched to a fresh worker, counted or traced.
+func TestPoolStopAtFatalCaseEndsRun(t *testing.T) {
+	opts := pooledOpts(t, hostile.Context{Behavior: hostile.ExitMidBatch})
+	opts.BatchSize = 4
+	p := sharedPool(t, opts, 1)
+	opts.WorkerPool = p
+	met := obs.NewMetrics()
+	opts.Metrics = met
+	opts.Stop = func(c testexec.CaseResult) bool { return c.Outcome == testexec.OutcomePanic }
+
+	rep, err := testexec.Run(suiteFor(hostile.ExitMidBatch, 4), hostile.NewFactory(hostile.ExitMidBatch), opts)
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if len(rep.Results) != 2 || rep.Results[1].Outcome != testexec.OutcomePanic {
+		t.Fatalf("got %d results ending in %v, want pass then the fatal crash", len(rep.Results), rep.Results[len(rep.Results)-1].Outcome)
+	}
+	c := met.Snapshot().Counters
+	if c["case.total"] != 2 || c["pool.redispatches"] != 0 {
+		t.Errorf("case.total = %d, pool.redispatches = %d; want 2 and 0", c["case.total"], c["pool.redispatches"])
+	}
+	if st := p.Stats(); st.Spawned != 1 || st.Discarded != 1 {
+		t.Errorf("pool stats %+v, want 1 spawn / 1 discard — no fresh worker after the stop", st)
 	}
 }
 

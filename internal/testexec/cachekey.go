@@ -9,7 +9,8 @@ import "concat/internal/core/canon"
 // executor's contract (reports are byte-identical across those knobs),
 // so it stays out of the fingerprint and a verdict cached under one
 // configuration serves all of them. Seed is excluded too: it is its own
-// field in a store key.
+// field in a store key. Stop only cuts a report short after a case; a
+// mutant's verdict is the same with or without it, so it stays out too.
 type resultOptions struct {
 	SkipInvariantChecks bool  `json:"skipInvariantChecks,omitempty"`
 	SkipReporter        bool  `json:"skipReporter,omitempty"`

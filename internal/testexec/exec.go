@@ -319,6 +319,14 @@ type Options struct {
 	// histograms and slowest-case lists for the run — the aggregate side
 	// channel next to Trace, under the same determinism contract.
 	Metrics *obs.Metrics
+	// Stop, when non-nil, is evaluated on every case result in suite order,
+	// and the run ends at the first case it returns true for: the report,
+	// its telemetry, the run log, case spans and case metrics cover exactly
+	// the prefix ending at that case. Mutation analysis stops a mutant at
+	// its first killing case this way. With Stop set, cases run in suite
+	// order on one dispatcher whatever Parallelism says; a campaign gets
+	// its parallelism from running many mutants at once.
+	Stop func(CaseResult) bool
 }
 
 // CaseSeed derives the RNG seed for one test case from the suite seed and
@@ -336,13 +344,19 @@ func CaseSeed(suiteSeed int64, caseID string) int64 {
 //
 // With Options.Parallelism > 1 the cases execute concurrently; the report
 // is identical to the serial run's (see CaseSeed) and the run log is still
-// written in suite order.
+// written in suite order. With Options.Stop the run is serial and ends at
+// the first stopping case.
 func Run(s *driver.Suite, f component.Factory, opts Options) (*Report, error) {
 	if s == nil || f == nil {
 		return nil, errors.New("testexec: nil suite or factory")
 	}
 	if s.Component != f.Name() {
 		return nil, fmt.Errorf("testexec: suite is for %q but factory builds %q", s.Component, f.Name())
+	}
+	if opts.Stop != nil {
+		// Stopping is decided in suite order, so one dispatcher runs the
+		// cases in that order.
+		opts.Parallelism = 1
 	}
 	log := opts.LogWriter
 	if log == nil {
@@ -443,6 +457,7 @@ func Run(s *driver.Suite, f component.Factory, opts Options) (*Report, error) {
 	finish := func() {
 		report.AbandonedGoroutines = int(ledger.Abandoned() - abandonedAtStart)
 		report.BITSites = suiteTel.Records()
+		suiteSpan.SetAttr("executed", strconv.Itoa(len(report.Results)))
 		suiteSpan.End()
 		opts.Metrics.Inc("suite.runs", 1)
 	}
@@ -470,6 +485,9 @@ func Run(s *driver.Suite, f component.Factory, opts Options) (*Report, error) {
 			res := runOne(tc)
 			writeLog(log, res)
 			report.Results = append(report.Results, res)
+			if opts.Stop != nil && opts.Stop(res) {
+				break
+			}
 		}
 		finish()
 		return report, nil

@@ -237,6 +237,9 @@ type poolDispatcher struct {
 	// it to the pool: IsolateSubprocess's process-per-case guarantee.
 	recycle bool
 	results []CaseResult
+	// stopAt is one past the case Options.Stop stopped the run at; zero
+	// while the run goes on.
+	stopAt int
 }
 
 // runPooled executes the suite in an isolated mode: cases are cut into
@@ -287,7 +290,13 @@ func runPooled(s *driver.Suite, opts Options, suiteSpan *obs.ActiveSpan, suiteTe
 	}
 	if workers <= 1 {
 		for _, b := range batches {
+			if d.stopAt > 0 {
+				break
+			}
 			d.dispatchBatch(b.start, b.end)
+		}
+		if d.stopAt > 0 {
+			return d.results[:d.stopAt], nil
 		}
 		return d.results, nil
 	}
@@ -314,7 +323,8 @@ func runPooled(s *driver.Suite, opts Options, suiteSpan *obs.ActiveSpan, suiteTe
 // worker death mid-batch consumes exactly the in-flight case (classified
 // from the worker's fate) and re-dispatches the batch's remaining cases to
 // a fresh worker exactly once each — a case is never executed twice and
-// never lost.
+// never lost. A stop ends the batch: nothing past the stopping case is
+// dispatched again.
 func (d *poolDispatcher) dispatchBatch(start, end int) {
 	remaining := start
 	sendFailures := 0
@@ -338,6 +348,9 @@ func (d *poolDispatcher) dispatchBatch(start, end int) {
 			}
 			continue
 		}
+		if d.stopAt > 0 {
+			return
+		}
 		if next < end {
 			d.opts.Metrics.Inc("pool.redispatches", 1)
 			first = d.startCase(next)
@@ -349,7 +362,7 @@ func (d *poolDispatcher) dispatchBatch(start, end int) {
 // failRest records the same harness error for cases [start, end), the
 // first of which already has its spans open.
 func (d *poolDispatcher) failRest(first caseTrace, start, end int, detail, exit string) {
-	for i := start; i < end; i++ {
+	for i := start; i < end && d.stopAt == 0; i++ {
 		if i > start {
 			first = d.startCase(i)
 		}
@@ -400,6 +413,10 @@ func (d *poolDispatcher) runBatchOn(w *pool.Worker, start, end int, cur caseTrac
 	d.opts.Metrics.Inc("pool.batches", 1)
 
 	for i := start; i < end; i++ {
+		if d.stopAt > 0 {
+			d.drain(w, end-i)
+			return end, true
+		}
 		if i > start {
 			// The worker moves on to case i as soon as it has answered i-1.
 			cur = d.startCase(i)
@@ -481,6 +498,37 @@ func (d *poolDispatcher) runBatchOn(w *pool.Worker, start, end int, cur caseTrac
 	return end, true
 }
 
+// drain consumes what a worker still sends for a batch the run stopped
+// inside: pending item frames, then the Done frame. Nothing is recorded —
+// no result, telemetry, span or count. A worker that ends the batch clean
+// goes back to the pool; any other ending discards it.
+func (d *poolDispatcher) drain(w *pool.Worker, pending int) {
+	for ; pending >= 0; pending-- {
+		frame, err := w.Recv(d.deadline)
+		if err != nil {
+			break
+		}
+		// Only the end-of-batch fields matter; item results are skipped
+		// without being decoded.
+		var resp struct {
+			Done  bool   `json:"done"`
+			Dirty bool   `json:"dirty"`
+			Error string `json:"error"`
+		}
+		if json.Unmarshal(frame, &resp) != nil {
+			break
+		}
+		if resp.Done {
+			if !resp.Dirty && resp.Error == "" {
+				d.putBack(w)
+				return
+			}
+			break
+		}
+	}
+	d.pool.Discard(w)
+}
+
 // baseResult builds the parent-side classification shell for case i.
 func (d *poolDispatcher) baseResult(i int, outcome Outcome, detail string) CaseResult {
 	tc := d.s.Cases[i]
@@ -560,4 +608,7 @@ func (d *poolDispatcher) finishCase(i int, ct caseTrace, res CaseResult, exit st
 		d.opts.Metrics.Observe("case.duration", tc.ID, time.Since(ct.begin))
 	}
 	d.results[i] = res
+	if d.opts.Stop != nil && d.opts.Stop(res) {
+		d.stopAt = i + 1
+	}
 }
