@@ -23,7 +23,7 @@ import (
 	"concat/internal/testexec"
 )
 
-var updateCampaigns = flag.Bool("update-campaigns", false, "rewrite the pinned campaign files under testdata/campaigns from an in-process run")
+var updateCampaigns = flag.Bool("update-campaigns", false, "rewrite the pinned files under testdata/campaigns and testdata/derive from an in-process run")
 
 // goldenCampaignComponents are the instrumented components whose campaigns
 // are pinned.
