@@ -12,7 +12,6 @@ import (
 
 	"concat"
 	"concat/internal/history"
-	"concat/internal/tspec"
 )
 
 func main() {
@@ -35,21 +34,18 @@ func run() error {
 	}
 	fmt.Printf("parent %s: %s\n", parent.Spec().Class.Name, parentSuite.Stats())
 
-	// Classify the subclass methods against the parent spec.
-	cls, err := tspec.Classify(parent.Spec(), child.Spec())
-	if err != nil {
-		return err
-	}
-	fmt.Printf("\nmethod classification of %s:\n", child.Spec().Class.Name)
-	fmt.Printf("  inherited unchanged: %v\n", cls.Names(tspec.StatusInherited))
-	fmt.Printf("  redefined:           %v\n", cls.Names(tspec.StatusRedefined))
-	fmt.Printf("  new:                 %v\n", cls.Names(tspec.StatusNew))
-
-	// Derive the subclass suite.
+	// Derive the subclass suite. Its plan carries the diff of the subclass
+	// spec against the parent's, which classifies every subclass method.
 	d, err := concat.Derive(parent.Spec(), child.Spec(), parentSuite, opts)
 	if err != nil {
 		return err
 	}
+	inherited, redefined, added := d.Plan.MethodClasses(child.Spec())
+	fmt.Printf("\nmethod classification of %s:\n", child.Spec().Class.Name)
+	fmt.Printf("  inherited unchanged: %v\n", inherited)
+	fmt.Printf("  redefined:           %v\n", redefined)
+	fmt.Printf("  new:                 %v\n", added)
+
 	skip, reuse, regen := d.Plan.Counts()
 	fmt.Printf("\ntransaction decisions: %d skip, %d reuse, %d regenerate\n", skip, reuse, regen)
 	fmt.Printf("derived suite: %d new cases, %d reused from the parent (%d parent cases skipped)\n",

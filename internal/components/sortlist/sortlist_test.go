@@ -284,24 +284,30 @@ func TestSpecValidAndExtendsParent(t *testing.T) {
 	if s.Class.Superclass != oblist.Name {
 		t.Errorf("superclass = %q", s.Class.Superclass)
 	}
-	cls, err := tspec.Classify(oblist.Spec(), s)
+	d, err := tspec.DiffSubclass(oblist.Spec(), s)
 	if err != nil {
-		t.Fatalf("Classify: %v", err)
+		t.Fatalf("DiffSubclass: %v", err)
+	}
+	var gotNew, gotRedef []string
+	for _, m := range d.Impacted {
+		if m.Reason == tspec.ReasonAdded {
+			gotNew = append(gotNew, m.Method)
+		} else {
+			gotRedef = append(gotRedef, m.Method)
+		}
 	}
 	wantNew := []string{"FindMax", "FindMin", "ShellSort", "Sort1", "Sort2",
 		"SortableObList", "SortableObListSized", "~SortableObList"}
-	gotNew := cls.Names(tspec.StatusNew)
-	if len(gotNew) != len(wantNew) {
+	if strings.Join(gotNew, ",") != strings.Join(wantNew, ",") {
 		t.Fatalf("new methods = %v, want %v", gotNew, wantNew)
 	}
 	wantRedef := []string{"InsertAfter", "InsertBefore", "SetAt"}
-	gotRedef := cls.Names(tspec.StatusRedefined)
-	if len(gotRedef) != len(wantRedef) {
+	if strings.Join(gotRedef, ",") != strings.Join(wantRedef, ",") {
 		t.Fatalf("redefined = %v, want %v", gotRedef, wantRedef)
 	}
 	for _, m := range []string{"AddHead", "AddTail", "RemoveHead", "RemoveAt", "Find", "RemoveAll"} {
-		if cls[m] != tspec.StatusInherited {
-			t.Errorf("%s = %s, want inherited", m, cls[m])
+		if reason := d.ImpactedReason(m); reason != "" {
+			t.Errorf("%s = %s, want inherited", m, reason)
 		}
 	}
 }

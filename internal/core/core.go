@@ -73,12 +73,6 @@ func (c *Component) History(s *driver.Suite) *history.History {
 	return history.Build(s)
 }
 
-// DeriveSubclass applies the hierarchical incremental technique: the child
-// component reuses the parent's test cases where the paper's rule allows.
-func DeriveSubclass(parent, child *Component, parentSuite *driver.Suite, opts driver.Options) (*history.DerivedSuite, error) {
-	return history.Derive(parent.Spec(), child.Spec(), parentSuite, opts)
-}
-
 // Target describes one built-in study subject: how to build a factory
 // (optionally with a mutation engine attached), its instrumentation sites
 // and the methods the paper's experiments mutate.

@@ -10,7 +10,9 @@ import (
 	"concat/internal/components/product"
 	"concat/internal/components/sortlist"
 	"concat/internal/driver"
+	"concat/internal/history"
 	"concat/internal/testexec"
+	"concat/internal/tspec"
 )
 
 func TestTargetsComplete(t *testing.T) {
@@ -85,7 +87,18 @@ func TestSelfTestInvalidOptions(t *testing.T) {
 	}
 }
 
-func TestDeriveSubclassWorkflow(t *testing.T) {
+// Every built-in spec diffs empty against its own copy: the test-impact
+// engine must keep every cached verdict for an unchanged component.
+func TestTargetSpecsDiffEmptyAgainstThemselves(t *testing.T) {
+	for name, tgt := range Targets() {
+		s := tgt.New(nil).Spec()
+		if d := tspec.DiffSpecs(s, s.Clone()); !d.Empty() {
+			t.Errorf("%s: spec diffed against its clone: %+v", name, d)
+		}
+	}
+}
+
+func TestDeriveWorkflow(t *testing.T) {
 	parent := Targets()[oblist.Name].New(nil)
 	child := Targets()[sortlist.Name].New(nil)
 	opts := driver.Options{Seed: 42, ExpandAlternatives: true, MaxAlternatives: 3}
@@ -93,9 +106,9 @@ func TestDeriveSubclassWorkflow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := DeriveSubclass(parent, child, parentSuite, opts)
+	d, err := history.Derive(parent.Spec(), child.Spec(), parentSuite, opts)
 	if err != nil {
-		t.Fatalf("DeriveSubclass: %v", err)
+		t.Fatalf("Derive: %v", err)
 	}
 	if d.NumNew == 0 || d.NumReused == 0 {
 		t.Errorf("derived = new %d reused %d", d.NumNew, d.NumReused)

@@ -19,6 +19,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"sort"
 
 	"concat/internal/driver"
 	"concat/internal/tspec"
@@ -127,8 +128,9 @@ type Plan struct {
 	Component  string
 	Superclass string
 	Decisions  []Decision
-	// Classification is the per-method status diff that justified the plan.
-	Classification tspec.Classification
+	// Delta is the subclass spec diff (tspec.DiffSubclass) that justified
+	// the plan.
+	Delta tspec.SpecDelta
 }
 
 // Counts returns the number of transactions per decision class.
@@ -144,6 +146,32 @@ func (p *Plan) Counts() (skip, reuse, regen int) {
 		}
 	}
 	return skip, reuse, regen
+}
+
+// MethodClasses sorts the distinct method names of child, the spec the
+// plan was derived for, into the §3.4.2 classes read off the plan's delta:
+// a method the delta reports added is new, any other impacted method is
+// redefined, and the rest are inherited. Each list is sorted.
+func (p *Plan) MethodClasses(child *tspec.Spec) (inherited, redefined, added []string) {
+	seen := map[string]bool{}
+	for _, m := range child.Methods {
+		if seen[m.Name] {
+			continue
+		}
+		seen[m.Name] = true
+		switch p.Delta.ImpactedReason(m.Name) {
+		case "":
+			inherited = append(inherited, m.Name)
+		case tspec.ReasonAdded:
+			added = append(added, m.Name)
+		default:
+			redefined = append(redefined, m.Name)
+		}
+	}
+	sort.Strings(inherited)
+	sort.Strings(redefined)
+	sort.Strings(added)
+	return inherited, redefined, added
 }
 
 // DerivedSuite is the subclass suite produced by the incremental technique,
@@ -168,7 +196,7 @@ func Derive(parentSpec, childSpec *tspec.Spec, parentSuite *driver.Suite, opts d
 	if parentSuite == nil {
 		return nil, fmt.Errorf("history: derive requires the parent suite")
 	}
-	classification, err := tspec.Classify(parentSpec, childSpec)
+	delta, err := tspec.DiffSubclass(parentSpec, childSpec)
 	if err != nil {
 		return nil, fmt.Errorf("history: deriving %q: %w", childSpec.Class.Name, err)
 	}
@@ -195,9 +223,9 @@ func Derive(parentSpec, childSpec *tspec.Spec, parentSuite *driver.Suite, opts d
 	}
 
 	plan := &Plan{
-		Component:      childSpec.Class.Name,
-		Superclass:     parentSpec.Class.Name,
-		Classification: classification,
+		Component:  childSpec.Class.Name,
+		Superclass: parentSpec.Class.Name,
+		Delta:      delta,
 	}
 	out := &DerivedSuite{
 		Suite: &driver.Suite{
@@ -224,7 +252,7 @@ func Derive(parentSpec, childSpec *tspec.Spec, parentSuite *driver.Suite, opts d
 
 	for _, tr := range childTrOrder {
 		cases := childByTr[tr]
-		cls, reason := classifyTransaction(childSpec, classification, cases)
+		cls, reason := classifyTransaction(childSpec, delta, cases)
 		switch cls {
 		case ClassSkip:
 			out.NumSkipped += len(cases)
@@ -262,7 +290,7 @@ func Derive(parentSpec, childSpec *tspec.Spec, parentSuite *driver.Suite, opts d
 // classifyTransaction applies the paper's rule to one transaction, using the
 // methods its generated cases actually invoke. Constructors and destructors
 // are excluded from the modification check.
-func classifyTransaction(spec *tspec.Spec, cls tspec.Classification, cases []driver.TestCase) (TransactionClass, string) {
+func classifyTransaction(spec *tspec.Spec, delta tspec.SpecDelta, cases []driver.TestCase) (TransactionClass, string) {
 	hasNew, hasRedefined := false, false
 	var newName, redefName string
 	for _, tc := range cases {
@@ -277,10 +305,11 @@ func classifyTransaction(spec *tspec.Spec, cls tspec.Classification, cases []dri
 			if m.Category == tspec.CatConstructor || m.Category == tspec.CatDestructor {
 				continue
 			}
-			switch cls[m.Name] {
-			case tspec.StatusNew:
+			switch delta.ImpactedReason(m.Name) {
+			case "":
+			case tspec.ReasonAdded:
 				hasNew, newName = true, m.Name
-			case tspec.StatusRedefined:
+			default:
 				hasRedefined, redefName = true, m.Name
 			}
 		}
@@ -389,12 +418,10 @@ func AdaptSuite(abstractSpec, concreteSpec *tspec.Spec, s *driver.Suite) (*drive
 			return nil, fmt.Errorf("history: adapting case %s: %w", tc.ID, err)
 		}
 		for _, call := range adapted.Calls {
-			m, ok := concreteSpec.MethodByName(call.Method)
-			if !ok {
+			if _, ok := concreteSpec.MethodByName(call.Method); !ok {
 				return nil, fmt.Errorf("history: adapting case %s: %q does not implement %q",
 					tc.ID, concreteSpec.Class.Name, call.Method)
 			}
-			_ = m
 		}
 		out.Cases = append(out.Cases, adapted)
 	}

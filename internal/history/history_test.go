@@ -102,7 +102,7 @@ func TestDeriveProducesAllThreeClasses(t *testing.T) {
 func TestDeriveDecisionsFollowTheRule(t *testing.T) {
 	d := deriveLists(t)
 	spec := sortlist.Spec()
-	cls := d.Plan.Classification
+	delta := d.Plan.Delta
 	byTr := map[string][]driver.TestCase{}
 	for _, tc := range d.Suite.Cases {
 		byTr[tc.Transaction] = append(byTr[tc.Transaction], tc)
@@ -118,7 +118,7 @@ func TestDeriveDecisionsFollowTheRule(t *testing.T) {
 			found := false
 			for _, tc := range byTr[dec.Transaction] {
 				for _, m := range tc.Methods() {
-					if cls[m] == tspec.StatusNew {
+					if delta.ImpactedReason(m) == tspec.ReasonAdded {
 						if mm, ok := spec.MethodByName(m); ok &&
 							mm.Category != tspec.CatConstructor && mm.Category != tspec.CatDestructor {
 							found = true

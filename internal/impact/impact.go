@@ -152,7 +152,7 @@ func (r *Runner) Run(oldSpec, newSpec *tspec.Spec) (*Result, error) {
 		return nil, fmt.Errorf("impact: hashing new spec: %w", err)
 	}
 
-	// Classify every case of the new suite and replay what we can.
+	// Partition every case of the new suite and replay what we can.
 	tasks := make([]task, len(newSuite.Cases))
 	hits := 0
 	for i, tc := range newSuite.Cases {

@@ -2,119 +2,191 @@ package tspec
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+
+	"concat/internal/domain"
 )
 
-// MethodStatus classifies a subclass method relative to its parent class,
-// following Harrold et al.'s incremental class testing model as adapted by
-// the paper (§3.4.2).
-type MethodStatus int
+// DiffSpecs is the one place two specs' methods are compared. It reports
+// which methods' test cases an edit invalidates, and why. The test-impact
+// engine (internal/impact) re-runs the cases that exercise an impacted
+// method and replays the rest from the verdict store; through DiffSubclass,
+// package history sorts a subclass's methods into the §3.4.2 classes (new,
+// redefined, inherited) that drive inheritance reuse.
 
-// Method classifications.
+// Impact reasons, ordered by precedence (the first matching reason wins).
 const (
-	// StatusInherited: present in the parent with the same specification and
-	// not reimplemented — its parent test cases remain valid.
-	StatusInherited MethodStatus = iota + 1
-	// StatusRedefined: reimplemented in the subclass (listed in Redefined),
-	// touched by a modified attribute, or its specification changed.
-	StatusRedefined
-	// StatusNew: not present in the parent.
-	StatusNew
+	// ReasonAdded: the method does not exist in the old spec.
+	ReasonAdded = "added"
+	// ReasonSignatureChanged: name/return/category/parameter structure moved
+	// — the non-domain part of the signature Harrold's model freezes.
+	ReasonSignatureChanged = "signature-changed"
+	// ReasonDomainChanged: same structure, but a parameter's declared value
+	// domain moved, so generated inputs may differ.
+	ReasonDomainChanged = "domain-changed"
+	// ReasonRedefined: newly listed in the spec's Redefined clause — the
+	// implementation was replaced without a spec change, which still
+	// invalidates observed behavior.
+	ReasonRedefined = "redefined"
+	// ReasonUsesModifiedAttribute: the method Uses an attribute that is newly
+	// listed in ModifiedAttributes or whose declared domain changed (§3.4.2:
+	// methods using a modified attribute are considered modified).
+	ReasonUsesModifiedAttribute = "uses-modified-attribute"
 )
 
-// String names the status.
-func (s MethodStatus) String() string {
-	switch s {
-	case StatusInherited:
-		return "inherited"
-	case StatusRedefined:
-		return "redefined"
-	case StatusNew:
-		return "new"
-	default:
-		return fmt.Sprintf("status(%d)", int(s))
-	}
+// MethodDelta is one impacted method with the reason its verdicts are
+// invalidated.
+type MethodDelta struct {
+	Method string `json:"method"`
+	Reason string `json:"reason"`
 }
 
-// Classification maps each subclass method name to its status.
-type Classification map[string]MethodStatus
-
-// Counts returns the number of methods in each status.
-func (c Classification) Counts() (inherited, redefined, added int) {
-	for _, st := range c {
-		switch st {
-		case StatusInherited:
-			inherited++
-		case StatusRedefined:
-			redefined++
-		case StatusNew:
-			added++
-		}
-	}
-	return inherited, redefined, added
+// SpecDelta is the result of DiffSpecs: everything about the edit that the
+// impact engine needs to partition a re-run.
+type SpecDelta struct {
+	// Impacted lists methods (present in the new spec) whose cached results
+	// are invalid, sorted by method name.
+	Impacted []MethodDelta `json:"impacted,omitempty"`
+	// Removed lists methods present only in the old spec, sorted. Their
+	// cases vanish from the generated suite on their own; the field exists
+	// for reporting.
+	Removed []string `json:"removed,omitempty"`
+	// ModelChanged reports that the TFM (nodes or edges) differs, so the
+	// transaction enumeration itself may have moved. The impact engine does
+	// not need a per-edge attribution: regenerated transactions reveal
+	// themselves by case-content comparison.
+	ModelChanged bool `json:"modelChanged,omitempty"`
 }
 
-// Names returns the sorted method names with the given status.
-func (c Classification) Names(st MethodStatus) []string {
-	var out []string
-	for name, got := range c {
-		if got == st {
-			out = append(out, name)
-		}
+// Empty reports a no-op edit: nothing impacted, nothing removed, same model.
+func (d SpecDelta) Empty() bool {
+	return len(d.Impacted) == 0 && len(d.Removed) == 0 && !d.ModelChanged
+}
+
+// ImpactedSet returns the impacted method names as a set.
+func (d SpecDelta) ImpactedSet() map[string]bool {
+	out := make(map[string]bool, len(d.Impacted))
+	for _, m := range d.Impacted {
+		out[m.Method] = true
 	}
-	sort.Strings(out)
 	return out
 }
 
-// Classify diffs a child spec against its parent and classifies every child
-// method. The child must name the parent class as its superclass. The rules,
-// per §3.4.2 and the Harrold model it adapts:
-//
-//   - a method absent from the parent is New;
-//   - a method listed in the child's Redefined clause is Redefined;
-//   - a method whose Uses set intersects the child's ModifiedAttributes is
-//     Redefined ("in case an attribute is modified, the methods using it are
-//     considered as modified");
-//   - a method whose specification differs from the parent's (signature,
-//     return, category) is Redefined — the model forbids signature changes,
-//     so such a difference is treated as a spec modification that forces
-//     regeneration;
-//   - otherwise the method is Inherited.
-//
-// Constructors and destructors are classified like every other method; the
-// transaction-level reuse logic in package history applies the paper's
-// special rule (they are excluded from the modification test) itself.
-func Classify(parent, child *Spec) (Classification, error) {
-	if child.Class.Superclass != parent.Class.Name {
-		return nil, fmt.Errorf("tspec: %q does not extend %q (superclass is %q)",
-			child.Class.Name, parent.Class.Name, child.Class.Superclass)
-	}
-	redefined := map[string]bool{}
-	for _, name := range child.Redefined {
-		redefined[name] = true
-	}
-	modAttrs := map[string]bool{}
-	for _, name := range child.ModifiedAttributes {
-		modAttrs[name] = true
-	}
-
-	out := make(Classification, len(child.Methods))
-	for _, m := range child.Methods {
-		parentM, inParent := parent.MethodByName(m.Name)
-		switch {
-		case !inParent:
-			out[m.Name] = StatusNew
-		case redefined[m.Name]:
-			out[m.Name] = StatusRedefined
-		case usesModified(m, modAttrs):
-			out[m.Name] = StatusRedefined
-		case !sameSignature(parentM, m):
-			out[m.Name] = StatusRedefined
-		default:
-			out[m.Name] = StatusInherited
+// ImpactedReason returns the recorded reason for an impacted method, or "".
+func (d SpecDelta) ImpactedReason(method string) string {
+	for _, m := range d.Impacted {
+		if m.Method == method {
+			return m.Reason
 		}
 	}
-	return out, nil
+	return ""
+}
+
+// DiffSpecs compares two revisions of one class and computes the impacted
+// method set. It imposes no superclass relation (DiffSubclass adds one). A
+// method in the new spec is impacted when it is new, its signature or a
+// parameter domain changed, it is newly redefined, or it uses an attribute
+// that was modified (newly listed in ModifiedAttributes, new, or whose
+// declared domain changed between revisions). Methods pair up by name and,
+// among overloads of one name, by declaration order.
+func DiffSpecs(old, new *Spec) SpecDelta {
+	var d SpecDelta
+
+	oldRedef, newRedef := nameSet(old.Redefined), nameSet(new.Redefined)
+	// An attribute counts as modified when newly flagged, when its declared
+	// domain changed, or when it is new — any of these can change invariant
+	// checking and reporter behavior for the methods using it.
+	oldModAttr := nameSet(old.ModifiedAttributes)
+	modAttrs := map[string]bool{}
+	for _, name := range new.ModifiedAttributes {
+		if !oldModAttr[name] {
+			modAttrs[name] = true
+		}
+	}
+	for _, a := range new.Attributes {
+		oldA, ok := old.AttributeByName(a.Name)
+		if !ok || !sameDomainDecl(oldA.Domain, a.Domain) {
+			modAttrs[a.Name] = true
+		}
+	}
+
+	oldMethods, newMethods := byOverload(old.Methods), byOverload(new.Methods)
+	for key, m := range newMethods {
+		reason := ReasonAdded
+		if oldM, inOld := oldMethods[key]; inOld {
+			reason = signatureChange(oldM, m)
+		}
+		switch {
+		case reason != "":
+		case newRedef[m.Name] && !oldRedef[m.Name]:
+			reason = ReasonRedefined
+		case usesModified(m, modAttrs):
+			reason = ReasonUsesModifiedAttribute
+		default:
+			continue
+		}
+		d.Impacted = append(d.Impacted, MethodDelta{m.Name, reason})
+	}
+	sort.Slice(d.Impacted, func(i, j int) bool {
+		a, b := d.Impacted[i], d.Impacted[j]
+		return a.Method < b.Method || a.Method == b.Method && a.Reason < b.Reason
+	})
+
+	for key := range oldMethods {
+		if _, inNew := newMethods[key]; !inNew {
+			d.Removed = append(d.Removed, key.name)
+		}
+	}
+	sort.Strings(d.Removed)
+
+	d.ModelChanged = modelChanged(old, new)
+	return d
+}
+
+// DiffSubclass is DiffSpecs framed for inheritance (§3.4.2, adapted from
+// Harrold et al.'s incremental class testing): child must name parent as
+// its superclass, and since the child's Redefined and ModifiedAttributes
+// clauses are relative to its parent, the parent's own are cleared before
+// the diff. A child method reported ReasonAdded is new, any other impacted
+// method is redefined, and the rest are inherited. Constructors and
+// destructors are classified like every other method; package history
+// excludes them from the transaction-level modification test itself.
+func DiffSubclass(parent, child *Spec) (SpecDelta, error) {
+	if child.Class.Superclass != parent.Class.Name {
+		return SpecDelta{}, fmt.Errorf("tspec: %q does not extend %q (superclass is %q)",
+			child.Class.Name, parent.Class.Name, child.Class.Superclass)
+	}
+	base := parent.Clone()
+	base.Redefined, base.ModifiedAttributes = nil, nil
+	return DiffSpecs(base, child), nil
+}
+
+// overloadKey identifies a method by its name and its ordinal among the
+// spec's methods of that name.
+type overloadKey struct {
+	name    string
+	ordinal int
+}
+
+// byOverload indexes methods by overloadKey, so that overloads of one name
+// pair up in declaration order across revisions.
+func byOverload(methods []Method) map[overloadKey]Method {
+	out := make(map[overloadKey]Method, len(methods))
+	seen := map[string]int{}
+	for _, m := range methods {
+		out[overloadKey{m.Name, seen[m.Name]}] = m
+		seen[m.Name]++
+	}
+	return out
+}
+
+func nameSet(names []string) map[string]bool {
+	out := make(map[string]bool, len(names))
+	for _, name := range names {
+		out[name] = true
+	}
+	return out
 }
 
 func usesModified(m Method, modAttrs map[string]bool) bool {
@@ -126,49 +198,40 @@ func usesModified(m Method, modAttrs map[string]bool) bool {
 	return false
 }
 
-// sameSignature reports whether two method declarations agree on the parts
-// Harrold's model freezes: name, return type, category, and the ordered
-// parameter list (names, domain kinds and declared domains).
-func sameSignature(a, b Method) bool {
-	if a.Name != b.Name || a.Return != b.Return || a.Category != b.Category {
-		return false
+// signatureChange reports which part of a method declaration moved
+// between revisions a and b, judged on the parts Harrold's model freezes:
+// ReasonSignatureChanged when the name, return type, category or ordered
+// parameter names differ, ReasonDomainChanged when only a parameter's
+// declared domain moved, and "" when the declarations agree.
+func signatureChange(a, b Method) string {
+	if a.Name != b.Name || a.Return != b.Return || a.Category != b.Category || len(a.Params) != len(b.Params) {
+		return ReasonSignatureChanged
 	}
-	if len(a.Params) != len(b.Params) {
-		return false
-	}
-	for i := range a.Params {
-		if a.Params[i].Name != b.Params[i].Name {
-			return false
+	change := ""
+	for i, p := range a.Params {
+		switch {
+		case p.Name != b.Params[i].Name:
+			return ReasonSignatureChanged
+		case !sameDomainDecl(p.Domain, b.Params[i].Domain):
+			change = ReasonDomainChanged
 		}
-		if !sameDomainDecl(a.Params[i].Domain, b.Params[i].Domain) {
-			return false
-		}
 	}
-	return true
+	return change
 }
 
 func sameDomainDecl(a, b DomainDecl) bool {
-	if a.Kind != b.Kind || a.Float != b.Float || a.Lo != b.Lo || a.Hi != b.Hi {
-		return false
+	return a.Kind == b.Kind && a.Float == b.Float && a.Lo == b.Lo && a.Hi == b.Hi &&
+		a.MinLen == b.MinLen && a.MaxLen == b.MaxLen &&
+		a.TypeName == b.TypeName && a.Nullable == b.Nullable &&
+		slices.EqualFunc(a.Members, b.Members, domain.Value.Equal) &&
+		slices.Equal(a.Candidates, b.Candidates)
+}
+
+// modelChanged reports whether the TFM declarations (node IDs, start flags
+// and method lists, and the edges) differ.
+func modelChanged(old, new *Spec) bool {
+	sameNode := func(o, n NodeDecl) bool {
+		return o.ID == n.ID && o.Start == n.Start && slices.Equal(o.Methods, n.Methods)
 	}
-	if a.MinLen != b.MinLen || a.MaxLen != b.MaxLen {
-		return false
-	}
-	if a.TypeName != b.TypeName || a.Nullable != b.Nullable {
-		return false
-	}
-	if len(a.Members) != len(b.Members) || len(a.Candidates) != len(b.Candidates) {
-		return false
-	}
-	for i := range a.Members {
-		if !a.Members[i].Equal(b.Members[i]) {
-			return false
-		}
-	}
-	for i := range a.Candidates {
-		if a.Candidates[i] != b.Candidates[i] {
-			return false
-		}
-	}
-	return true
+	return !slices.EqualFunc(old.Nodes, new.Nodes, sameNode) || !slices.Equal(old.Edges, new.Edges)
 }

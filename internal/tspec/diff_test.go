@@ -1,6 +1,9 @@
 package tspec
 
-import "testing"
+import (
+	"sort"
+	"testing"
+)
 
 // subClone derives a child spec from the base builder by cloning: same
 // methods, correct superclass link, ready for targeted mutation.
@@ -13,13 +16,66 @@ func subClone(t *testing.T) (parent, child *Spec) {
 	return parent, child
 }
 
-func classify(t *testing.T, parent, child *Spec) Classification {
+// classify diffs child against parent with DiffSubclass and reads the
+// §3.4.2 status of every child method off the delta.
+func classify(t *testing.T, parent, child *Spec) map[string]string {
 	t.Helper()
-	cls, err := Classify(parent, child)
+	d, err := DiffSubclass(parent, child)
 	if err != nil {
-		t.Fatalf("Classify: %v", err)
+		t.Fatalf("DiffSubclass: %v", err)
+	}
+	cls := map[string]string{}
+	for _, m := range child.Methods {
+		cls[m.Name] = status(d, m.Name)
 	}
 	return cls
+}
+
+// status names a child method's class from a subclass delta: a method
+// reported added is new, any other impacted method is redefined, and an
+// unreported one is inherited.
+func status(d SpecDelta, method string) string {
+	switch d.ImpactedReason(method) {
+	case "":
+		return inherited
+	case ReasonAdded:
+		return added
+	default:
+		return redefined
+	}
+}
+
+const (
+	inherited = "inherited"
+	redefined = "redefined"
+	added     = "new"
+)
+
+// counts tallies the statuses of a classification.
+func counts(cls map[string]string) (inh, red, nw int) {
+	for _, st := range cls {
+		switch st {
+		case inherited:
+			inh++
+		case redefined:
+			red++
+		case added:
+			nw++
+		}
+	}
+	return inh, red, nw
+}
+
+// namesWith returns the sorted method names with the given status.
+func namesWith(cls map[string]string, st string) []string {
+	var out []string
+	for name, got := range cls {
+		if got == st {
+			out = append(out, name)
+		}
+	}
+	sort.Strings(out)
+	return out
 }
 
 // An unmodified clone inherits every method: the signature test must not
@@ -28,11 +84,11 @@ func TestClassifyIdenticalCloneInheritsAll(t *testing.T) {
 	parent, child := subClone(t)
 	cls := classify(t, parent, child)
 	for name, st := range cls {
-		if st != StatusInherited {
+		if st != inherited {
 			t.Errorf("%s = %s, want inherited", name, st)
 		}
 	}
-	if inh, red, nw := cls.Counts(); inh != 4 || red != 0 || nw != 0 {
+	if inh, red, nw := counts(cls); inh != 4 || red != 0 || nw != 0 {
 		t.Errorf("counts = %d/%d/%d, want 4/0/0", inh, red, nw)
 	}
 }
@@ -44,10 +100,10 @@ func TestClassifyAddedParameter(t *testing.T) {
 	add := &child.Methods[2] // Add(v)
 	add.Params = append(add.Params, Param{Name: "w", Domain: RangeInt(0, 1)})
 	cls := classify(t, parent, child)
-	if cls["Add"] != StatusRedefined {
+	if cls["Add"] != redefined {
 		t.Errorf("Add = %s, want redefined after added parameter", cls["Add"])
 	}
-	if cls["Get"] != StatusInherited {
+	if cls["Get"] != inherited {
 		t.Errorf("Get = %s, want inherited (untouched)", cls["Get"])
 	}
 }
@@ -57,7 +113,7 @@ func TestClassifyRemovedParameter(t *testing.T) {
 	parent, child := subClone(t)
 	child.Methods[2].Params = nil // Add(v) -> Add()
 	cls := classify(t, parent, child)
-	if cls["Add"] != StatusRedefined {
+	if cls["Add"] != redefined {
 		t.Errorf("Add = %s, want redefined after removed parameter", cls["Add"])
 	}
 }
@@ -85,7 +141,7 @@ func TestClassifyRedomainedParameter(t *testing.T) {
 			parent, child := subClone(t)
 			child.Methods[2].Params[0].Domain = c.domain
 			cls := classify(t, parent, child)
-			if cls["Add"] != StatusRedefined {
+			if cls["Add"] != redefined {
 				t.Errorf("Add = %s, want redefined after %s", cls["Add"], c.name)
 			}
 		})
@@ -98,7 +154,7 @@ func TestClassifyRenamedParameter(t *testing.T) {
 	parent, child := subClone(t)
 	child.Methods[2].Params[0].Name = "value"
 	cls := classify(t, parent, child)
-	if cls["Add"] != StatusRedefined {
+	if cls["Add"] != redefined {
 		t.Errorf("Add = %s, want redefined after parameter rename", cls["Add"])
 	}
 }
@@ -112,7 +168,7 @@ func TestClassifyConstructorChanges(t *testing.T) {
 	t.Run("unchanged constructor inherits", func(t *testing.T) {
 		parent, child := subClone(t)
 		cls := classify(t, parent, child)
-		if cls["Base"] != StatusInherited {
+		if cls["Base"] != inherited {
 			t.Errorf("Base ctor = %s, want inherited", cls["Base"])
 		}
 	})
@@ -121,7 +177,7 @@ func TestClassifyConstructorChanges(t *testing.T) {
 		ctor := &child.Methods[0] // Base()
 		ctor.Params = append(ctor.Params, Param{Name: "capacity", Domain: RangeInt(1, 8)})
 		cls := classify(t, parent, child)
-		if cls["Base"] != StatusRedefined {
+		if cls["Base"] != redefined {
 			t.Errorf("Base ctor = %s, want redefined after added parameter", cls["Base"])
 		}
 	})
@@ -129,7 +185,7 @@ func TestClassifyConstructorChanges(t *testing.T) {
 		parent, child := subClone(t)
 		child.Methods[0].Name = "Sub"
 		cls := classify(t, parent, child)
-		if cls["Sub"] != StatusNew {
+		if cls["Sub"] != added {
 			t.Errorf("Sub ctor = %s, want new", cls["Sub"])
 		}
 		if _, ok := cls["Base"]; ok {
@@ -140,7 +196,7 @@ func TestClassifyConstructorChanges(t *testing.T) {
 		parent, child := subClone(t)
 		child.Methods[0].Category = CatUpdate
 		cls := classify(t, parent, child)
-		if cls["Base"] != StatusRedefined {
+		if cls["Base"] != redefined {
 			t.Errorf("Base ctor = %s, want redefined after category change", cls["Base"])
 		}
 	})
@@ -167,13 +223,13 @@ func TestClassifyExplicitRedefinePrecedence(t *testing.T) {
 	child.Redefined = []string{"Get"}
 	child.Methods[2].Params[0].Domain = RangeInt(1, 99) // Add re-domained too
 	cls := classify(t, parent, child)
-	if cls["Get"] != StatusRedefined {
+	if cls["Get"] != redefined {
 		t.Errorf("Get = %s, want redefined (explicit clause)", cls["Get"])
 	}
-	if cls["Add"] != StatusRedefined {
+	if cls["Add"] != redefined {
 		t.Errorf("Add = %s, want redefined (signature)", cls["Add"])
 	}
-	if inh, red, nw := cls.Counts(); inh != 2 || red != 2 || nw != 0 {
+	if inh, red, nw := counts(cls); inh != 2 || red != 2 || nw != 0 {
 		t.Errorf("counts = %d/%d/%d, want 2/2/0", inh, red, nw)
 	}
 }

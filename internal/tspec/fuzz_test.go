@@ -56,5 +56,10 @@ func FuzzParse(f *testing.F) {
 			len(back.Edges) != len(spec.Edges) {
 			t.Fatalf("round trip changed the spec shape:\noriginal: %s\nback: %s", spec, back)
 		}
+		// Metamorphic property: a spec diffed against its own round trip is
+		// an empty delta.
+		if d := DiffSpecs(spec, back); !d.Empty() {
+			t.Fatalf("round trip is not an empty diff: %+v\n%s", d, sb.String())
+		}
 	})
 }

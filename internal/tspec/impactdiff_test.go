@@ -94,6 +94,63 @@ func TestDiffSpecsAttributeDomainChangeHitsUsers(t *testing.T) {
 	}
 }
 
+// Overloads pair by their ordinal among same-named methods: the paper's
+// Figure 3 Product declares two constructors named Product, and an
+// unchanged spec must diff empty instead of pairing the 4-argument
+// constructor with the 0-argument one.
+func TestDiffSpecsOverloadsPairByOrdinal(t *testing.T) {
+	s := parseProduct(t)
+	if d := DiffSpecs(s, s); !d.Empty() {
+		t.Fatalf("spec diffed against itself: %+v", d)
+	}
+	if d := DiffSpecs(s, s.Clone()); !d.Empty() {
+		t.Fatalf("spec diffed against its clone: %+v", d)
+	}
+
+	moved := s.Clone()
+	moved.Methods[1].Params[0].Domain = RangeInt(1, 50) // second Product overload
+	want := []MethodDelta{{"Product", ReasonDomainChanged}}
+	if d := DiffSpecs(s, moved); !reflect.DeepEqual(d.Impacted, want) {
+		t.Fatalf("Impacted = %+v, want %+v", d.Impacted, want)
+	}
+
+	dropped := s.Clone()
+	dropped.Methods = append(dropped.Methods[:1:1], dropped.Methods[2:]...)
+	d := DiffSpecs(s, dropped)
+	if len(d.Impacted) != 0 || !reflect.DeepEqual(d.Removed, []string{"Product"}) {
+		t.Fatalf("dropping the second overload: %+v, want only Removed [Product]", d)
+	}
+}
+
+// The one way DiffSubclass is wider than a purely clause-driven
+// classification: a child attribute whose declared domain differs from the
+// parent's, or that the parent lacks, counts as modified, so the methods
+// that Use it are impacted even without a ModifiedAttributes clause.
+func TestDiffSubclassAttributeDomainChangeHitsUsers(t *testing.T) {
+	parent, child := subClone(t)
+	child.Attributes[0].Domain = RangeInt(0, 50) // count: narrowed
+	d, err := DiffSubclass(parent, child)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Only Add Uses count.
+	want := []MethodDelta{{"Add", ReasonUsesModifiedAttribute}}
+	if !reflect.DeepEqual(d.Impacted, want) {
+		t.Fatalf("Impacted = %+v, want %+v", d.Impacted, want)
+	}
+
+	parent, child = subClone(t)
+	child.Attributes = append(child.Attributes, Attribute{Name: "hits", Domain: RangeInt(0, 9)})
+	child.Methods[3].Uses = []string{"hits"} // Get
+	if d, err = DiffSubclass(parent, child); err != nil {
+		t.Fatal(err)
+	}
+	want = []MethodDelta{{"Get", ReasonUsesModifiedAttribute}}
+	if !reflect.DeepEqual(d.Impacted, want) {
+		t.Fatalf("new attribute: Impacted = %+v, want %+v", d.Impacted, want)
+	}
+}
+
 func TestDiffSpecsModifiedAttributesClause(t *testing.T) {
 	old, new := revClone(t)
 	new.ModifiedAttributes = []string{"count"}
@@ -126,7 +183,7 @@ func TestDiffSpecsModelChange(t *testing.T) {
 	})
 }
 
-// --- Classify over transitive Extends chains (depth >= 3) ---
+// --- DiffSubclass over transitive Extends chains (depth >= 3) ---
 
 // chainSpecs builds Base -> L1 -> L2 -> L3, each level a clone of its parent
 // with the superclass link set. Callers mutate individual levels.
@@ -145,11 +202,11 @@ func chainSpecs(t *testing.T) []*Spec {
 	return specs
 }
 
-// classifyChain applies Classify pairwise down the chain and returns one
-// classification per link.
-func classifyChain(t *testing.T, specs []*Spec) []Classification {
+// classifyChain applies DiffSubclass pairwise down the chain and returns
+// one classification per link.
+func classifyChain(t *testing.T, specs []*Spec) []map[string]string {
 	t.Helper()
-	out := make([]Classification, 0, len(specs)-1)
+	out := make([]map[string]string, 0, len(specs)-1)
 	for i := 1; i < len(specs); i++ {
 		out = append(out, classify(t, specs[i-1], specs[i]))
 	}
@@ -162,7 +219,7 @@ func TestClassifyTransitiveChainAllInherited(t *testing.T) {
 	specs := chainSpecs(t)
 	for link, cls := range classifyChain(t, specs) {
 		for name, st := range cls {
-			if st != StatusInherited {
+			if st != inherited {
 				t.Errorf("link %d: %s = %s, want inherited", link, name, st)
 			}
 		}
@@ -178,13 +235,13 @@ func TestClassifyTransitiveChainMidRedefinition(t *testing.T) {
 	specs := chainSpecs(t)
 	specs[2].Redefined = []string{"Add"} // redefined in L2 only
 	cls := classifyChain(t, specs)
-	if cls[0]["Add"] != StatusInherited {
+	if cls[0]["Add"] != inherited {
 		t.Errorf("Base->L1 Add = %s, want inherited", cls[0]["Add"])
 	}
-	if cls[1]["Add"] != StatusRedefined {
+	if cls[1]["Add"] != redefined {
 		t.Errorf("L1->L2 Add = %s, want redefined", cls[1]["Add"])
 	}
-	if cls[2]["Add"] != StatusInherited {
+	if cls[2]["Add"] != inherited {
 		t.Errorf("L2->L3 Add = %s, want inherited (L3 matches L2's spec)", cls[2]["Add"])
 	}
 }
@@ -201,16 +258,16 @@ func TestClassifyTransitiveChainDomainChange(t *testing.T) {
 		s.Methods[2].Params[0].Domain = RangeInt(1, 5)
 	}
 	cls := classifyChain(t, specs)
-	if cls[0]["Add"] != StatusRedefined {
+	if cls[0]["Add"] != redefined {
 		t.Errorf("Base->L1 Add = %s, want redefined (domain changed)", cls[0]["Add"])
 	}
-	if cls[1]["Add"] != StatusInherited || cls[2]["Add"] != StatusInherited {
+	if cls[1]["Add"] != inherited || cls[2]["Add"] != inherited {
 		t.Errorf("deeper links = %s/%s, want inherited/inherited", cls[1]["Add"], cls[2]["Add"])
 	}
 	// Leaf against root (re-frame the superclass) sees the change.
 	leaf := specs[3].Clone()
 	leaf.Class.Superclass = specs[0].Class.Name
-	if got := classify(t, specs[0], leaf)["Add"]; got != StatusRedefined {
+	if got := classify(t, specs[0], leaf)["Add"]; got != redefined {
 		t.Errorf("Base->L3 Add = %s, want redefined", got)
 	}
 }
@@ -229,23 +286,27 @@ func TestClassifyMultiLevelRedefinitionPrecedence(t *testing.T) {
 	}
 	cls := classifyChain(t, specs)
 
-	if cls[0]["Get"] != StatusRedefined {
+	if cls[0]["Get"] != redefined {
 		t.Errorf("Base->L1 Get = %s, want redefined", cls[0]["Get"])
 	}
-	if cls[1]["Get"] != StatusInherited {
+	if cls[1]["Get"] != inherited {
 		t.Errorf("L1->L2 Get = %s, want inherited (no redefinition at L2)", cls[1]["Get"])
 	}
-	if cls[2]["Get"] != StatusRedefined {
+	if cls[2]["Get"] != redefined {
 		t.Errorf("L2->L3 Get = %s, want redefined again", cls[2]["Get"])
 	}
 
 	if _, ok := cls[0]["Reset"]; ok {
 		t.Error("Base->L1 classified Reset before it exists")
 	}
-	if cls[1]["Reset"] != StatusNew {
+	if cls[1]["Reset"] != added {
 		t.Errorf("L1->L2 Reset = %s, want new", cls[1]["Reset"])
 	}
-	if cls[2]["Reset"] != StatusInherited {
+	if cls[2]["Reset"] != inherited {
 		t.Errorf("L2->L3 Reset = %s, want inherited", cls[2]["Reset"])
+	}
+	// DiffSubclass clears the parent's own clauses on a copy only.
+	if len(specs[1].Redefined) != 1 || len(specs[3].Redefined) != 1 {
+		t.Errorf("DiffSubclass changed the specs' Redefined clauses: %v / %v", specs[1].Redefined, specs[3].Redefined)
 	}
 }

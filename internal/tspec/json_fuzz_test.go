@@ -24,9 +24,9 @@ func jsonSeed(f *testing.F, src string) []byte {
 // FuzzJSONRoundTrip asserts the JSON wire form's contract: arbitrary bytes
 // never panic LoadJSON, and any input that loads AND validates must survive
 // SaveJSON -> LoadJSON with no observable difference — byte-identical
-// re-serialization, and diff.go's Classify finding every method Inherited
-// (i.e. no signature drift) when the round-tripped spec is framed as a
-// subclass of the original. Run with `go test -fuzz FuzzJSONRoundTrip` for a
+// re-serialization, and DiffSubclass finding every method inherited (i.e.
+// no signature drift) when the round-tripped spec is framed as a subclass of
+// the original. Run with `go test -fuzz FuzzJSONRoundTrip` for a
 // real campaign; the seed corpus runs in ordinary `go test`.
 func FuzzJSONRoundTrip(f *testing.F) {
 	f.Add([]byte(""))
@@ -80,39 +80,27 @@ func FuzzJSONRoundTrip(f *testing.F) {
 		if len(back.Methods) != len(spec.Methods) {
 			t.Fatalf("round trip changed method count: %d -> %d", len(spec.Methods), len(back.Methods))
 		}
-		overloaded := false
-		names := map[string]int{}
 		for i, m := range spec.Methods {
 			if m.ID != back.Methods[i].ID {
 				t.Fatalf("round trip reordered methods: %q -> %q at %d", m.ID, back.Methods[i].ID, i)
 			}
-			if !sameSignature(m, back.Methods[i]) {
-				t.Fatalf("round trip changed the signature of %s (%q)", m.ID, m.Name)
-			}
-			names[m.Name]++
-			if names[m.Name] > 1 {
-				overloaded = true
+			if change := signatureChange(m, back.Methods[i]); change != "" {
+				t.Fatalf("round trip changed the signature of %s (%q): %s", m.ID, m.Name, change)
 			}
 		}
-		// For specs without overloads, Classify end to end must also report
-		// no difference: frame the round-tripped spec as a direct subclass
-		// with nothing redefined — every method must classify Inherited.
-		// (With overloads, name-keyed Classify conservatively reports the
-		// extra overloads redefined, so the framing doesn't apply.)
-		if !overloaded {
-			child := back.Clone()
-			child.Class.Superclass = spec.Class.Name
-			child.Redefined = nil
-			child.ModifiedAttributes = nil
-			cls, err := Classify(spec, child)
-			if err != nil {
-				t.Fatalf("Classify on round-tripped spec: %v", err)
-			}
-			for name, st := range cls {
-				if st != StatusInherited {
-					t.Fatalf("round trip changed method %q: classified %s, want inherited", name, st)
-				}
-			}
+		// The subclass diff end to end must also report no difference: frame
+		// the round-tripped spec as a direct subclass with nothing redefined,
+		// and every method must classify inherited.
+		child := back.Clone()
+		child.Class.Superclass = spec.Class.Name
+		child.Redefined = nil
+		child.ModifiedAttributes = nil
+		d, err := DiffSubclass(spec, child)
+		if err != nil {
+			t.Fatalf("DiffSubclass on round-tripped spec: %v", err)
+		}
+		for _, m := range d.Impacted {
+			t.Fatalf("round trip changed method %q: %s, want inherited", m.Method, m.Reason)
 		}
 	})
 }

@@ -32,7 +32,7 @@ func TestSpecJSONRoundTrip(t *testing.T) {
 		}
 	}
 	for i := range orig.Methods {
-		if !sameSignature(back.Methods[i], orig.Methods[i]) {
+		if signatureChange(back.Methods[i], orig.Methods[i]) != "" {
 			t.Errorf("method %d differs", i)
 		}
 	}

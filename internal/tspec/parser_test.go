@@ -244,7 +244,7 @@ func TestRoundTrip(t *testing.T) {
 		t.Fatalf("methods: %d vs %d", len(back.Methods), len(orig.Methods))
 	}
 	for i := range orig.Methods {
-		if !sameSignature(back.Methods[i], orig.Methods[i]) {
+		if signatureChange(back.Methods[i], orig.Methods[i]) != "" {
 			t.Errorf("method %d differs: %+v vs %+v", i, back.Methods[i], orig.Methods[i])
 		}
 	}

@@ -293,7 +293,7 @@ func TestDomainDeclBuild(t *testing.T) {
 	}
 }
 
-func TestClassify(t *testing.T) {
+func TestDiffSubclass(t *testing.T) {
 	parent := baseBuilder().MustBuild()
 	child, err := NewBuilder("Sub").
 		Extends("Base").
@@ -322,27 +322,24 @@ func TestClassify(t *testing.T) {
 	if err != nil {
 		t.Fatalf("build child: %v", err)
 	}
-	cls, err := Classify(parent, child)
-	if err != nil {
-		t.Fatalf("Classify: %v", err)
-	}
-	want := map[string]MethodStatus{
-		"Sub":   StatusNew, // constructors differ by name from parent's
-		"~Sub":  StatusNew,
-		"Add":   StatusInherited,
-		"Get":   StatusRedefined, // explicit Redefines
-		"Reset": StatusNew,
+	cls := classify(t, parent, child)
+	want := map[string]string{
+		"Sub":   added, // constructors differ by name from parent's
+		"~Sub":  added,
+		"Add":   inherited,
+		"Get":   redefined, // explicit Redefines
+		"Reset": added,
 	}
 	for name, st := range want {
 		if cls[name] != st {
-			t.Errorf("Classify[%s] = %s, want %s", name, cls[name], st)
+			t.Errorf("status[%s] = %s, want %s", name, cls[name], st)
 		}
 	}
-	inh, red, nw := cls.Counts()
+	inh, red, nw := counts(cls)
 	if inh != 1 || red != 1 || nw != 3 {
 		t.Errorf("counts = %d/%d/%d", inh, red, nw)
 	}
-	if names := cls.Names(StatusNew); len(names) != 3 || names[0] != "Reset" {
+	if names := namesWith(cls, added); len(names) != 3 || names[0] != "Reset" {
 		t.Errorf("Names(new) = %v", names)
 	}
 }
@@ -353,15 +350,12 @@ func TestClassifyModifiedAttributes(t *testing.T) {
 	child.Class.Name = "Sub"
 	child.Class.Superclass = "Base"
 	child.ModifiedAttributes = []string{"count"}
-	cls, err := Classify(parent, child)
-	if err != nil {
-		t.Fatalf("Classify: %v", err)
-	}
+	cls := classify(t, parent, child)
 	// "Add" Uses count, so it becomes redefined; "Get" does not.
-	if cls["Add"] != StatusRedefined {
+	if cls["Add"] != redefined {
 		t.Errorf("Add = %s, want redefined", cls["Add"])
 	}
-	if cls["Get"] != StatusInherited {
+	if cls["Get"] != inherited {
 		t.Errorf("Get = %s, want inherited", cls["Get"])
 	}
 }
@@ -373,11 +367,8 @@ func TestClassifySignatureChange(t *testing.T) {
 	child.Class.Superclass = "Base"
 	// Widen Add's parameter domain: spec change forces regeneration.
 	child.Methods[2].Params[0].Domain = RangeInt(1, 1000)
-	cls, err := Classify(parent, child)
-	if err != nil {
-		t.Fatalf("Classify: %v", err)
-	}
-	if cls["Add"] != StatusRedefined {
+	cls := classify(t, parent, child)
+	if cls["Add"] != redefined {
 		t.Errorf("Add = %s, want redefined after domain change", cls["Add"])
 	}
 }
@@ -387,25 +378,8 @@ func TestClassifyWrongParent(t *testing.T) {
 	child := parent.Clone()
 	child.Class.Name = "Sub"
 	child.Class.Superclass = "SomeoneElse"
-	if _, err := Classify(parent, child); err == nil {
-		t.Error("Classify with mismatched superclass should fail")
-	}
-}
-
-func TestMethodStatusString(t *testing.T) {
-	tests := []struct {
-		s    MethodStatus
-		want string
-	}{
-		{StatusInherited, "inherited"},
-		{StatusRedefined, "redefined"},
-		{StatusNew, "new"},
-		{MethodStatus(9), "status(9)"},
-	}
-	for _, tt := range tests {
-		if got := tt.s.String(); got != tt.want {
-			t.Errorf("String() = %q, want %q", got, tt.want)
-		}
+	if _, err := DiffSubclass(parent, child); err == nil {
+		t.Error("DiffSubclass with mismatched superclass should fail")
 	}
 }
 
@@ -414,20 +388,23 @@ func TestSameSignatureVariants(t *testing.T) {
 		Params: []Param{{Name: "a", Domain: RangeInt(0, 5)}}}
 	same := base
 	same.Params = []Param{{Name: "a", Domain: RangeInt(0, 5)}}
-	if !sameSignature(base, same) {
-		t.Error("identical methods should match")
+	if got := signatureChange(base, same); got != "" {
+		t.Errorf("identical methods should match, got %q", got)
 	}
-	cases := []Method{
-		{Name: "g", Return: "int", Category: CatAccess, Params: base.Params},
-		{Name: "f", Return: "", Category: CatAccess, Params: base.Params},
-		{Name: "f", Return: "int", Category: CatUpdate, Params: base.Params},
-		{Name: "f", Return: "int", Category: CatAccess},
-		{Name: "f", Return: "int", Category: CatAccess, Params: []Param{{Name: "b", Domain: RangeInt(0, 5)}}},
-		{Name: "f", Return: "int", Category: CatAccess, Params: []Param{{Name: "a", Domain: RangeInt(0, 6)}}},
+	cases := []struct {
+		m    Method
+		want string
+	}{
+		{Method{Name: "g", Return: "int", Category: CatAccess, Params: base.Params}, ReasonSignatureChanged},
+		{Method{Name: "f", Return: "", Category: CatAccess, Params: base.Params}, ReasonSignatureChanged},
+		{Method{Name: "f", Return: "int", Category: CatUpdate, Params: base.Params}, ReasonSignatureChanged},
+		{Method{Name: "f", Return: "int", Category: CatAccess}, ReasonSignatureChanged},
+		{Method{Name: "f", Return: "int", Category: CatAccess, Params: []Param{{Name: "b", Domain: RangeInt(0, 5)}}}, ReasonSignatureChanged},
+		{Method{Name: "f", Return: "int", Category: CatAccess, Params: []Param{{Name: "a", Domain: RangeInt(0, 6)}}}, ReasonDomainChanged},
 	}
 	for i, c := range cases {
-		if sameSignature(base, c) {
-			t.Errorf("case %d should differ", i)
+		if got := signatureChange(base, c.m); got != c.want {
+			t.Errorf("case %d: signatureChange = %q, want %q", i, got, c.want)
 		}
 	}
 }
